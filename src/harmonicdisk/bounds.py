@@ -57,26 +57,17 @@ class BoundReport:
 
 def coefficient_bound_check(f: HarmonicMap, p: ClassParams) -> BoundReport:
     """Slack of every coefficient bound for m = 2..order of the map."""
-    rows = []
-    for m in range(2, f.order + 1):
-        bound_b = p.coefficient_budget() / p.coefficient_weight(m)
-        bound_a = 2.0 * bound_b
-        abs_a = abs(f.s.coeff(m))
-        abs_b = abs(f.t.coeff(m))
-        rows.append(
-            BoundRow(
-                m=m,
-                abs_a=abs_a,
-                abs_b=abs_b,
-                bound_a=bound_a,
-                bound_b=bound_b,
-                slack_a=bound_a - abs_a,
-                slack_b=bound_b - abs_b,
-                slack_sum=bound_a - (abs_a + abs_b),
-                slack_diff=bound_a - abs(abs_a - abs_b),
-            )
-        )
-    return BoundReport(rows=tuple(rows))
+    m = np.arange(2, f.order + 1)
+    bound_b = p.coefficient_budget() / p.coefficient_weight(m)
+    bound_a = 2.0 * bound_b
+    # hypot matches Python's abs of a complex bit for bit; np.abs does not
+    a, b = f.s.pad_to(f.order).coeffs[2:], f.t.pad_to(f.order).coeffs[2:]
+    abs_a, abs_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
+    columns = (
+        m, abs_a, abs_b, bound_a, bound_b,
+        bound_a - abs_a, bound_b - abs_b, bound_a - (abs_a + abs_b), bound_a - np.abs(abs_a - abs_b),
+    )
+    return BoundReport(rows=tuple(BoundRow(*row) for row in zip(*(c.tolist() for c in columns))))
 
 
 @dataclass(frozen=True)
@@ -89,9 +80,8 @@ class GrowthEstimate:
 
 
 def _growth_terms(p: ClassParams, r: float, n_terms: int) -> np.ndarray:
-    m = np.arange(2, n_terms + 1, dtype=np.float64)
-    weights = m * m * (2.0 * p.gamma + (p.delta - p.gamma) * (m - 1))
-    return 2.0 * p.coefficient_budget() * r**m / weights
+    m = np.arange(2.0, n_terms + 1)
+    return 2.0 * p.coefficient_budget() * r**m / p.coefficient_weight(m)
 
 
 def _check_growth_args(r: float, n_terms: int) -> float:
@@ -134,7 +124,7 @@ def growth_lower(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> Grow
     signs = np.where(np.arange(2, n_terms + 1) % 2 == 0, -1.0, 1.0)
     value = r + float(np.sum(signs * terms))
     n1 = n_terms + 1
-    tail = 2.0 * p.coefficient_budget() * r**n1 / (n1 * n1 * (2.0 * p.gamma + (p.delta - p.gamma) * n_terms))
+    tail = 2.0 * p.coefficient_budget() * r**n1 / p.coefficient_weight(n1)
     return GrowthEstimate(value=value, tail=tail, n_terms=n_terms)
 
 

@@ -2,14 +2,17 @@
 
 Every command prints one JSON result on stdout; ``--verbose`` adds a human
 summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
-verdict fails, 2 on usage or validation errors.
+verdict fails, 2 on usage or validation errors, 3 on an internal fault (its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import traceback
 
 from . import bounds, closure, geometry, membership, radii, serialize, svgplot
 from .errors import HarmonicDiskError
@@ -82,25 +85,11 @@ def _params_json(p: ClassParams) -> dict:
 
 
 def _verdict_json(v: MembershipVerdict) -> dict:
-    return {
-        "holds": v.holds,
-        "margin": v.margin,
-        "witness": [v.witness.real, v.witness.imag],
-        "samples": v.samples,
-        "near_degenerate": v.near_degenerate,
-        "evidence": v.evidence,
-    }
+    return {**dataclasses.asdict(v), "witness": [v.witness.real, v.witness.imag]}
 
 
 def _radius_json(r: RadiusReport) -> dict:
-    return {
-        "radius": r.radius,
-        "bracket": [r.bracket[0], r.bracket[1]],
-        "residual": r.residual,
-        "iterations": r.iterations,
-        "method": r.method,
-        "note": r.note,
-    }
+    return dataclasses.asdict(r)
 
 
 def _sufficient_json(s: membership.SufficientCondition) -> dict:
@@ -261,20 +250,7 @@ def _cmd_report(args) -> dict:
         "sufficient": _sufficient_json(membership.membership_sufficient(f, p)),
         "bounds": {
             "holds": bound_report.all_within,
-            "rows": [
-                {
-                    "m": r.m,
-                    "abs_a": r.abs_a,
-                    "abs_b": r.abs_b,
-                    "bound_a": r.bound_a,
-                    "bound_b": r.bound_b,
-                    "slack_a": r.slack_a,
-                    "slack_b": r.slack_b,
-                    "slack_sum": r.slack_sum,
-                    "slack_diff": r.slack_diff,
-                }
-                for r in bound_report.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in bound_report.rows],
         },
         "sense_preserving": _verdict_json(sense_preserving_check(f, grid)),
         "membership": _verdict_json(membership.membership_sampled(f, p, grid)),
@@ -319,10 +295,14 @@ def run_command(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         result = _COMMANDS[args.command](args)
-    except Exception as e:  # noqa: BLE001 - the CLI contract maps all failures to exit 2
+    except (HarmonicDiskError, ValueError, OSError) as e:
         print(json.dumps({"error": str(e)}, indent=2))
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # noqa: BLE001 - any other failure is a bug, not bad input
+        print(json.dumps({"error": f"internal error: {type(e).__name__}: {e}"}, indent=2))
+        traceback.print_exc()
+        return 3
     print(json.dumps(result, indent=2))
     if getattr(args, "verbose", False):
         _summarize(result, sys.stderr)

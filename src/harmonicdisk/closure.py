@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError
 from .maps import ClassParams, HarmonicMap
+from .membership import _coefficient_sum
 from .series import COEFF_TOL, TruncatedSeries
 
 _WEIGHT_TOL = 1e-12
@@ -102,7 +103,7 @@ def random_member(
     for m in idx_b:
         t[m] = rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform())
 
-    raw = sum(p.coefficient_weight(m) * (abs(s[m]) + abs(t[m])) for m in range(2, order + 1))
+    raw = _coefficient_sum(p, s, t)
     scale = u * p.coefficient_budget() / raw if raw > 0.0 else 0.0
     s[2:] *= scale
     t[2:] *= scale

@@ -10,7 +10,7 @@ ground truth behind the numeric radius oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,11 +126,10 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     v = verdict_from_margins(rates, z, f"{n} samples on circle r={r}")
     if abs(total - 2.0 * np.pi) > TURNING_TOL:
         margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
-        return MembershipVerdict(
+        return replace(
+            v,
             holds=False,
             margin=margin,
-            witness=v.witness,
-            samples=v.samples,
             evidence=f"total tangent turning {total:.6f} != 2*pi (turning number != 1)",
         )
     return v

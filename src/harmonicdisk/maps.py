@@ -43,8 +43,12 @@ class ClassParams:
         if not 0.0 <= self.lam < self.gamma:
             raise DomainError(f"0 <= lambda < gamma violated: lambda={self.lam}, gamma={self.gamma}")
 
-    def coefficient_weight(self, m: int) -> float:
-        """The multiplier m^2 * [2*gamma + (delta-gamma)*(m-1)] of index m."""
+    def coefficient_weight(self, m: int | np.ndarray) -> float | np.ndarray:
+        """The multiplier m^2 * [2*gamma + (delta-gamma)*(m-1)] of index m.
+
+        ``m`` is an int or an array of integer indices (of any numeric dtype);
+        an array gives one weight per index, bitwise equal to the scalar value.
+        """
         return m * m * (2.0 * self.gamma + (self.delta - self.gamma) * (m - 1))
 
     def coefficient_budget(self) -> float:
@@ -146,8 +150,7 @@ def make_extremal_full(p: ClassParams, order: int = DEFAULT_ORDER) -> HarmonicMa
         raise DomainError("full extremal needs order >= 2")
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1] = 1.0
-    for m in range(2, order + 1):
-        coeffs[m] = 2.0 * p.coefficient_budget() / p.coefficient_weight(m)
+    coeffs[2:] = 2.0 * p.coefficient_budget() / p.coefficient_weight(np.arange(2, order + 1))
     return HarmonicMap(TruncatedSeries(coeffs), TruncatedSeries.zero(order))
 
 

@@ -12,7 +12,7 @@ violating point, a holding verdict means "not falsified at this resolution".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,11 +50,19 @@ class SufficientCondition:
     budget: float
 
 
+def _coefficient_sum(p: ClassParams, a: np.ndarray, b: np.ndarray) -> float:
+    """sum over m >= 2 of weight(m) * (|a[m]| + |b[m]|) for equal-length arrays.
+
+    Moduli use hypot, which matches Python's ``abs`` of a complex bit for bit.
+    """
+    a, b = a[2:], b[2:]
+    moduli = np.hypot(a.real, a.imag) + np.hypot(b.real, b.imag)
+    return float(np.sum(p.coefficient_weight(np.arange(2.0, len(a) + 2)) * moduli))
+
+
 def membership_sufficient(f: HarmonicMap, p: ClassParams) -> SufficientCondition:
     """Coefficient-sum test: sufficient (not necessary) for membership."""
-    total = 0.0
-    for m in range(2, f.order + 1):
-        total += p.coefficient_weight(m) * (abs(f.s.coeff(m)) + abs(f.t.coeff(m)))
+    total = _coefficient_sum(p, f.s.pad_to(f.order).coeffs, f.t.pad_to(f.order).coeffs)
     budget = p.coefficient_budget()
     return SufficientCondition(holds=total <= budget, total=total, budget=budget)
 
@@ -90,14 +98,7 @@ def slice_membership_sampled(
     stacked = np.real(ls[None, :, :] + eps[:, None, None] * lt[None, :, :]) - p.lam
     margins = stacked.min(axis=0)
     v = verdict_from_margins(margins, pts, f"{n_eps} slice values on {grid.describe()}")
-    return MembershipVerdict(
-        holds=v.holds,
-        margin=v.margin,
-        witness=v.witness,
-        samples=int(stacked.size),
-        near_degenerate=v.near_degenerate,
-        evidence=v.evidence,
-    )
+    return replace(v, samples=int(stacked.size))
 
 
 def _check_slice_normalized(F: TruncatedSeries) -> None:

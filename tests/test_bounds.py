@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -19,7 +20,7 @@ from harmonicdisk import (
     make_extremal_single,
 )
 
-from helpers import random_params
+from helpers import mixed_order_map, random_params
 
 P110 = ClassParams(1, 1, 0)
 
@@ -55,6 +56,21 @@ class TestCoefficientBounds:
         report = coefficient_bound_check(f, P110)
         assert report.row(2).slack_b == pytest.approx(-0.25)
         assert not report.all_within
+
+    @pytest.mark.parametrize("s_order,t_order", [(5, 17), (17, 5)])
+    def test_mixed_orders_match_per_index_rows(self, s_order, t_order):
+        rng = np.random.default_rng(s_order)
+        p = random_params(rng)
+        f = mixed_order_map(rng, s_order, t_order)
+        expected = []
+        for m in range(2, f.order + 1):
+            bound_b = p.coefficient_budget() / p.coefficient_weight(m)
+            a, b = abs(f.s.coeff(m)), abs(f.t.coeff(m))
+            bound_a = 2.0 * bound_b
+            expected.append(
+                (m, a, b, bound_a, bound_b, bound_a - a, bound_b - b, bound_a - (a + b), bound_a - abs(a - b))
+            )
+        assert [dataclasses.astuple(r) for r in coefficient_bound_check(f, p).rows] == expected
 
 
 class TestGrowthValues:

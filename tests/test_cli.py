@@ -12,6 +12,7 @@ from harmonicdisk import (
     make_extremal_single,
     save_map,
 )
+from harmonicdisk import cli
 from harmonicdisk.cli import run_command
 from harmonicdisk.svgplot import emit_svg, render_svg
 
@@ -86,6 +87,17 @@ class TestCheckCommand:
     def test_missing_file_exits_two(self, capsys):
         code, out = run(capsys, ["check", "--in", "/nonexistent/f.json", *PFLAGS])
         assert code == 2
+
+    @pytest.mark.parametrize("error,code", [(TypeError, 3), (ValueError, 2)])
+    def test_exit_code_by_exception_type(self, capsys, monkeypatch, extremal_doc, error, code):
+        def broken(args):
+            raise error("unsupported operand")
+
+        monkeypatch.setitem(cli._COMMANDS, "check", broken)
+        assert run_command(["check", "--in", extremal_doc]) == code
+        captured = capsys.readouterr()
+        assert "unsupported operand" in json.loads(captured.out)["error"]
+        assert ("Traceback" in captured.err) == (code == 3)
 
     def test_verbose_summary_on_stderr(self, extremal_doc, capsys):
         code = run_command(["check", "--in", extremal_doc, "--verbose"])

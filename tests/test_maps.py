@@ -48,6 +48,13 @@ class TestClassParams:
             assert p.coefficient_weight(m) > 0
         assert p.coefficient_budget() > 0
 
+    def test_weight_array_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        m = np.arange(2, 300)
+        for _ in range(20):
+            p = random_params(rng)
+            assert p.coefficient_weight(m).tolist() == [p.coefficient_weight(int(k)) for k in m]
+
 
 class TestExtremalSingle:
     @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from harmonicdisk import (
 )
 from harmonicdisk.closure import random_member
 
-from helpers import random_params, random_series
+from helpers import mixed_order_map, random_params, random_series
 
 P110 = ClassParams(1, 1, 0)
 
@@ -91,6 +91,17 @@ class TestSufficientCondition:
     def test_overweight_fails(self):
         cond = membership_sufficient(overweight_map(), P110)
         assert not cond.holds and cond.total == pytest.approx(2.4)
+
+    @pytest.mark.parametrize("s_order,t_order", [(5, 17), (17, 5)])
+    def test_mixed_orders_match_per_index_sum(self, s_order, t_order):
+        rng = np.random.default_rng(s_order)
+        p = random_params(rng)
+        f = mixed_order_map(rng, s_order, t_order)
+        expected = sum(
+            p.coefficient_weight(m) * (abs(f.s.coeff(m)) + abs(f.t.coeff(m)))
+            for m in range(2, f.order + 1)
+        )
+        assert membership_sufficient(f, p).total == pytest.approx(expected, rel=1e-15)
 
 
 class TestMembershipSampled:
