@@ -79,9 +79,48 @@ class GrowthEstimate:
     n_terms: int
 
 
-def _growth_terms(p: ClassParams, r: float, n_terms: int) -> np.ndarray:
-    m = np.arange(2.0, n_terms + 1)
-    return 2.0 * p.coefficient_budget() * r**m / p.coefficient_weight(m)
+def _growth_terms(p: ClassParams, r, n_terms: int) -> np.ndarray:
+    """Terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N along the last axis.
+
+    *r* is a radius or an array of radii; an array gives one row per radius.
+    The powers are taken up to r^(N+1) and the last one dropped, so numpy's
+    power always runs along m, as for one radius: a lone exponent column
+    would take its squaring shortcut and round differently.
+    """
+    m = np.arange(2.0, n_terms + 2)
+    powers = (np.asarray(r)[..., None] ** m)[..., :-1]
+    return 2.0 * p.coefficient_budget() * powers / p.coefficient_weight(m[:-1])
+
+
+def _pow(r, k: int):
+    """r**k by the C library's pow, for a radius or elementwise for an array.
+
+    numpy's vectorized power can differ from it in the last bit, and an
+    envelope row must equal growth_upper/growth_lower at its radius exactly.
+    """
+    return r**k if np.ndim(r) == 0 else np.array([x**k for x in r.tolist()])
+
+
+def _upper(p: ClassParams, r, n_terms: int) -> tuple:
+    """Value and tail of the upper envelope at a radius or an array of radii."""
+    value = r + np.sum(_growth_terms(p, r, n_terms), axis=-1)
+    tail = (
+        2.0
+        * p.coefficient_budget()
+        / (n_terms * n_terms * 2.0 * p.gamma)
+        * _pow(r, n_terms + 1)
+        / (1.0 - r)
+    )
+    return value, tail
+
+
+def _lower(p: ClassParams, r, n_terms: int) -> tuple:
+    """Value and tail of the lower envelope at a radius or an array of radii."""
+    signs = np.where(np.arange(2, n_terms + 1) % 2 == 0, -1.0, 1.0)
+    value = r + np.sum(signs * _growth_terms(p, r, n_terms), axis=-1)
+    n1 = n_terms + 1
+    tail = 2.0 * p.coefficient_budget() * _pow(r, n1) / p.coefficient_weight(n1)
+    return value, tail
 
 
 def _check_growth_args(r: float, n_terms: int) -> float:
@@ -99,16 +138,8 @@ def growth_upper(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> Grow
     The tail bound majorizes every omitted term by
     4*(gamma-lam)/(N^2*2*gamma) * r^m and sums the geometric series.
     """
-    r = _check_growth_args(r, n_terms)
-    value = r + float(np.sum(_growth_terms(p, r, n_terms)))
-    tail = (
-        2.0
-        * p.coefficient_budget()
-        / (n_terms * n_terms * 2.0 * p.gamma)
-        * r ** (n_terms + 1)
-        / (1.0 - r)
-    )
-    return GrowthEstimate(value=value, tail=tail, n_terms=n_terms)
+    value, tail = _upper(p, _check_growth_args(r, n_terms), n_terms)
+    return GrowthEstimate(value=float(value), tail=tail, n_terms=n_terms)
 
 
 def growth_lower(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> GrowthEstimate:
@@ -119,13 +150,8 @@ def growth_lower(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> Grow
     large gamma-lam the value can be negative; it is reported raw (the
     envelope check is then vacuous on the lower side), nothing is clamped.
     """
-    r = _check_growth_args(r, n_terms)
-    terms = _growth_terms(p, r, n_terms)
-    signs = np.where(np.arange(2, n_terms + 1) % 2 == 0, -1.0, 1.0)
-    value = r + float(np.sum(signs * terms))
-    n1 = n_terms + 1
-    tail = 2.0 * p.coefficient_budget() * r**n1 / p.coefficient_weight(n1)
-    return GrowthEstimate(value=value, tail=tail, n_terms=n_terms)
+    value, tail = _lower(p, _check_growth_args(r, n_terms), n_terms)
+    return GrowthEstimate(value=float(value), tail=tail, n_terms=n_terms)
 
 
 def growth_envelope_check(
@@ -145,15 +171,11 @@ def growth_envelope_check(
     disproves membership.
     """
     grid = grid or PolarGrid()
+    _check_growth_args(grid.max_radius, n_terms)
     radii = grid.radii()
     pts = grid.points()
     absf = np.abs(evaluate_map_many(f, pts))
-    upper = np.empty_like(radii)
-    lower = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        u = growth_upper(p, float(r), n_terms)
-        lo = growth_lower(p, float(r), n_terms)
-        upper[i] = u.value + u.tail
-        lower[i] = lo.value - lo.tail
+    upper = np.add(*_upper(p, radii, n_terms))
+    lower = np.subtract(*_lower(p, radii, n_terms))
     margins = np.minimum(upper[:, None] - absf, absf - lower[:, None])
     return verdict_from_margins(margins, pts, grid.describe())

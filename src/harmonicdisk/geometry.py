@@ -31,6 +31,10 @@ _TANGENT_FLOOR = 1e-10
 #: Allowed deviation of the total tangent turning from 2*pi.
 TURNING_TOL = 1e-6
 
+#: Segment pairs per block of the injectivity scan.  Each pair costs a few
+#: dozen bytes of temporaries, so a block stays within a few tens of MB.
+_PAIR_BLOCK = 1 << 18
+
 
 def _check_circle_args(r: float, n: int) -> float:
     r = float(r)
@@ -138,25 +142,40 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
 def injective_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> bool:
     """True when the sampled circle image has no self-intersections.
 
-    Implemented as the O(n^2) proper-crossing test over all non-adjacent
-    polyline segment pairs, vectorized over the pair matrix.
+    Implemented as the proper-crossing test over all non-adjacent polyline
+    segment pairs (i, j), i < j.  Rows of that upper triangle are scanned in
+    blocks of at most max(n, :data:`_PAIR_BLOCK`) pairs, so memory no longer
+    grows as n^2; the reverse straddle is tested only on the pairs whose
+    forward straddle holds.  Time is still O(n^2).
     """
     r = _check_circle_args(r, n)
-    poly = circle_image(f, r, n)
-    pts = poly.points
-    a = pts
-    b = np.roll(pts, -1)
+    return _polyline_is_simple(circle_image(f, r, n).points)
 
-    def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u.real * v.imag - u.imag * v.real
 
+def _polyline_is_simple(a: np.ndarray) -> bool:
+    """True when the closed polyline through the points *a* has no proper crossing."""
+    n = len(a)
+    b = np.roll(a, -1)
     d = b - a
-    # q[i, j] < 0 iff the endpoints of segment j straddle the line of
-    # segment i; a proper crossing needs straddling both ways.
-    q = cross(d[:, None], a[None, :] - a[:, None]) * cross(d[:, None], b[None, :] - a[:, None])
-    crossing = (q < 0.0) & (q.T < 0.0)
 
-    i = np.arange(n)
-    gap = np.abs(i[:, None] - i[None, :])
-    adjacent = (gap <= 1) | (gap == n - 1)
-    return not bool(np.any(crossing & ~adjacent))
+    def straddle(i, j) -> np.ndarray:
+        """q(i, j) = cross(d_i, a_j - a_i) * cross(d_i, b_j - a_i).
+
+        q(i, j) < 0 iff the endpoints of segment j lie strictly on both sides
+        of the line of segment i; a proper crossing needs straddling both ways.
+        """
+        u, v, w = d[i], a[j] - a[i], b[j] - a[i]
+        return (u.real * v.imag - u.imag * v.real) * (u.real * w.imag - u.imag * w.real)
+
+    rows = max(1, _PAIR_BLOCK // n)
+    for i0 in range(0, n - 2, rows):
+        i = np.arange(i0, min(i0 + rows, n - 2))[:, None]
+        j = np.arange(i0 + 2, n)[None, :]
+        # adjacent segments, (0, n - 1) across the wrap included, share an
+        # endpoint, so their q is exactly 0 and never a candidate; a pair with
+        # j < i in a block is also tested there as (j, i), so it is harmless
+        ii, jj = np.nonzero(straddle(i, j) < 0.0)
+        gi, gj = i[ii, 0], j[0, jj]
+        if np.any(straddle(gj, gi) < 0.0):
+            return False
+    return True

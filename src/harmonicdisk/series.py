@@ -4,6 +4,13 @@ A series is stored densely: ``coeffs[m]`` is the coefficient of ``z**m`` and
 the truncation order is ``len(coeffs) - 1``.  All operations are pure
 functions on immutable values, so instances can be shared freely between
 threads.
+
+Every value of a series, at one point (:meth:`TruncatedSeries.evaluate`) or
+on an array of points (:func:`eval_many`), comes from one Horner kernel that
+updates a single output array in place.  It performs the floating-point
+operations of ``numpy.polynomial.polynomial.polyval`` in the same order, so
+its values on points, grids and circles are bitwise equal to that function's,
+without the two temporary arrays ``polyval`` allocates per coefficient.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 
@@ -134,7 +140,7 @@ class TruncatedSeries:
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation at a point of the closed unit disk."""
         z = check_disk_point(z)
-        return complex(npoly.polyval(z, self.coeffs))
+        return complex(_horner(self.coeffs, z))
 
     def derivative(self, k: int = 1) -> "TruncatedSeries":
         """k-th formal derivative, 0 <= k <= 3.  Order floors at 0."""
@@ -166,6 +172,24 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs * powers)
 
 
+def _horner(coeffs: np.ndarray, z):
+    """Horner's rule on the points *z*, with one output array updated in place.
+
+    The start ``z*0 + c[-1]`` and each step ``out*z + c`` are the operations
+    of ``polyval``, signed zeros included.  One caveat comes from numpy: an
+    in-place multiply of a one-element array takes its plain scalar loop
+    instead of the vector loop with fused multiply-adds, so a single point
+    passed as a 1-element array may differ from ``polyval`` in the last bits.
+    Scalars, 0-d arrays and arrays of two or more points match bit for bit.
+    """
+    out = z * 0
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
 def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation on an array of closed-disk points."""
     z = np.asarray(z, dtype=np.complex128)
@@ -173,4 +197,4 @@ def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
         raise DomainError("evaluation points must be finite")
     if z.size and float(np.max(np.abs(z))) > 1.0 + _EDGE_SLACK:
         raise DomainError("evaluation points must satisfy |z| <= 1")
-    return npoly.polyval(z, series.coeffs)
+    return _horner(series.coeffs, z)

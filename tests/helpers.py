@@ -33,3 +33,25 @@ def mixed_order_map(rng: np.random.Generator, s_order: int, t_order: int) -> Har
 def params_from(gamma: float, ratio: float, frac: float) -> ClassParams:
     """Build valid params from unconstrained draws (for hypothesis)."""
     return ClassParams(gamma=gamma, delta=gamma * ratio, lam=frac * gamma)
+
+
+def dense_injective(points: np.ndarray) -> bool:
+    """Reference self-intersection test of a closed polyline on the full n-by-n pair matrix.
+
+    A pair of non-adjacent segments crosses properly when each straddles the
+    line of the other.  Memory is O(n^2), so keep n small.
+    """
+    n = len(points)
+    a = points
+    b = np.roll(points, -1)
+    d = b - a
+
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    q = cross(d[:, None], a[None, :] - a[:, None]) * cross(d[:, None], b[None, :] - a[:, None])
+    crossing = (q < 0.0) & (q.T < 0.0)
+    i = np.arange(n)
+    gap = np.abs(i[:, None] - i[None, :])
+    adjacent = (gap <= 1) | (gap == n - 1)
+    return not bool(np.any(crossing & ~adjacent))

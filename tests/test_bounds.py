@@ -19,6 +19,9 @@ from harmonicdisk import (
     make_extremal_full,
     make_extremal_single,
 )
+from harmonicdisk.bounds import _lower, _upper
+from harmonicdisk.closure import random_member
+from harmonicdisk.maps import evaluate_map_many
 
 from helpers import mixed_order_map, random_params
 
@@ -152,6 +155,40 @@ class TestSharpness:
                 )
 
 
+class TestEnvelopeRows:
+    """The envelope arrays over all grid radii equal the per-radius bounds exactly."""
+
+    @pytest.mark.parametrize("n_terms", [2, 3, 64, 600])
+    def test_rows_equal_per_radius_values(self, n_terms):
+        rng = np.random.default_rng(n_terms)
+        for _ in range(10):
+            p = random_params(rng)
+            radii = PolarGrid(max_radius=float(rng.uniform(0.05, 0.99)), n_radii=17).radii()
+            upper = np.add(*_upper(p, radii, n_terms))
+            lower = np.subtract(*_lower(p, radii, n_terms))
+            for r, u, lo in zip(radii.tolist(), upper.tolist(), lower.tolist()):
+                up, low = growth_upper(p, r, n_terms), growth_lower(p, r, n_terms)
+                assert u == up.value + up.tail
+                assert lo == low.value - low.tail
+
+    @pytest.mark.parametrize("n_terms", [16, 600])
+    def test_check_equals_per_radius_loop(self, n_terms):
+        rng = np.random.default_rng(7 + n_terms)
+        for k in range(6):
+            p = random_params(rng)
+            # the full extremal attains the envelope: margin zero up to rounding
+            f = make_extremal_full(p, n_terms) if k % 2 else random_member(p, rng, order=n_terms)
+            grid = PolarGrid(max_radius=0.97, n_radii=9, n_angles=24)
+            bounds = [(growth_upper(p, r, n_terms), growth_lower(p, r, n_terms)) for r in grid.radii()]
+            upper = np.array([u.value + u.tail for u, _ in bounds])
+            lower = np.array([lo.value - lo.tail for _, lo in bounds])
+            absf = np.abs(evaluate_map_many(f, grid.points()))
+            margins = np.minimum(upper[:, None] - absf, absf - lower[:, None])
+            v = growth_envelope_check(f, p, grid, n_terms)
+            assert v.margin == float(margins.min())
+            assert v.holds == bool(margins.min() > 0.0)
+
+
 class TestEnvelopeCheck:
     def test_identity_inside_envelope(self):
         rng = np.random.default_rng(53)
@@ -162,6 +199,11 @@ class TestEnvelopeCheck:
     def test_single_extremal_inside_envelope(self):
         v = growth_envelope_check(make_extremal_single(P110, 2), P110)
         assert v.holds
+
+    @pytest.mark.parametrize("n_terms", [0, 1])
+    def test_rejects_short_sum(self, n_terms):
+        with pytest.raises(DomainError):
+            growth_envelope_check(identity_map(), P110, n_terms=n_terms)
 
     def test_violator_breaks_envelope(self):
         # b_2 = 0.5 violates the coefficient bound; near the rim the modulus

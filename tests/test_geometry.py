@@ -17,10 +17,11 @@ from harmonicdisk import (
     make_extremal_single,
     starlike_on_circle,
 )
+from harmonicdisk import geometry
 from harmonicdisk.closure import random_member
 from harmonicdisk.series import eval_many
 
-from helpers import random_params
+from helpers import dense_injective, random_params
 
 P110 = ClassParams(1, 1, 0)
 
@@ -138,3 +139,69 @@ class TestInjectiveOnCircle:
     def test_sense_reversed_map_self_intersects(self):
         f = map_from([0, 1, 0], [0, 0, 0.9])
         assert not injective_on_circle(f, 0.99, 256)
+
+
+def _looping_map(rng: np.random.Generator) -> HarmonicMap:
+    """Low-order map whose circle images often loop (large co-analytic part)."""
+    order = int(rng.integers(2, 7))
+    s = np.zeros(order + 1, dtype=np.complex128)
+    t = np.zeros(order + 1, dtype=np.complex128)
+    s[1] = 1.0
+    scale = rng.uniform(0.0, 1.2) / np.arange(2, order + 1)
+    s[2:] = 0.3 * scale * (rng.standard_normal(order - 1) + 1j * rng.standard_normal(order - 1))
+    t[2:] = scale * (rng.standard_normal(order - 1) + 1j * rng.standard_normal(order - 1))
+    return HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
+
+
+class TestBlockedInjectivityScan:
+    """The row-blocked pair scan agrees with the dense n-by-n reference."""
+
+    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 1009])
+    def test_matches_dense_reference(self, block, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        verdicts = []
+        for _ in range(200):
+            f = _looping_map(rng)
+            r = float(rng.uniform(0.3, 0.98))
+            n = int(rng.integers(64, 300))
+            expected = dense_injective(circle_image(f, r, n).points)
+            assert injective_on_circle(f, r, n) == expected
+            verdicts.append(expected)
+        # both outcomes are exercised in quantity
+        assert 40 <= sum(verdicts) <= 160
+
+    @pytest.mark.parametrize("n", [1000, 1024])
+    def test_blocks_that_do_not_divide_the_rows(self, n):
+        rows = geometry._PAIR_BLOCK // n
+        assert 1 < rows and (n - 2) % rows != 0
+        rng = np.random.default_rng(n)
+        seen = set()
+        for _ in range(6):
+            f = _looping_map(rng)
+            expected = dense_injective(circle_image(f, 0.95, n).points)
+            assert injective_on_circle(f, 0.95, n) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 67 * 5, 67 * 4])
+    def test_single_crossing_found_at_every_position(self, block, monkeypatch):
+        # swapping vertices k and k+1 of a regular polygon makes segments k-1
+        # and k+1 the diagonals of a convex quadrilateral: one proper crossing
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        n = 67
+        polygon = np.exp(2j * np.pi * np.arange(n) / n)
+        assert geometry._polyline_is_simple(polygon)
+        for k in range(n):
+            a = polygon.copy()
+            a[[k, (k + 1) % n]] = a[[(k + 1) % n, k]]
+            assert not dense_injective(a)
+            assert not geometry._polyline_is_simple(a), k
+
+    def test_touching_vertex_is_not_a_proper_crossing(self):
+        # vertex 2 lies exactly on segment 0; reversed, on the last segment,
+        # so the zero straddle is met both as forward and as reverse test
+        a = np.array([0, 4, 4 + 4j, 2, 4j])
+        for polyline in (a, a[::-1].copy()):
+            assert dense_injective(polyline)
+            assert geometry._polyline_is_simple(polyline)

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from harmonicdisk import DomainError, TruncatedSeries
+from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries
+from harmonicdisk.membership import apply_operator
+from harmonicdisk.series import eval_many
+
+from helpers import random_series
 
 finite_coeff = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(finite_coeff, min_size=2, max_size=12)
@@ -34,6 +39,58 @@ class TestEvaluate:
     def test_rejects_nonfinite_coeffs(self):
         with pytest.raises(DomainError):
             TruncatedSeries([0, float("inf")])
+
+
+def _kernel_points(kind: str) -> np.ndarray:
+    if kind == "0-d":
+        return np.asarray(0.3 - 0.55j)
+    if kind == "empty":
+        return np.zeros(0, dtype=np.complex128)
+    if kind == "circle":
+        return 0.9 * np.exp(2j * np.pi * np.arange(257) / 257)
+    return PolarGrid(max_radius=0.95, n_radii=7, n_angles=33).points()
+
+
+def _same_bits(out, ref) -> bool:
+    return np.shape(out) == np.shape(ref) and np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+
+
+class TestHornerKernel:
+    """Every series value is bitwise equal to numpy's ``polyval``, the reference."""
+
+    @pytest.mark.parametrize("kind", ["0-d", "empty", "circle", "grid"])
+    @pytest.mark.parametrize("order", [0, 1, 16, 600])
+    def test_eval_many_matches_polyval(self, order, kind):
+        rng = np.random.default_rng(order)
+        s = random_series(rng, order)
+        z = _kernel_points(kind)
+        assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
+
+    @pytest.mark.parametrize("kind", ["circle", "grid"])
+    def test_signed_zero_leading_coefficient(self, kind):
+        # polyval starts from c[-1] + z*0, which decides the sign of a zero;
+        # adding -0.0 keeps that sign up to the result
+        s = TruncatedSeries([-0.0, -0.0, -0.0])
+        z = _kernel_points(kind)
+        assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
+
+    @pytest.mark.parametrize("order", [0, 1, 16, 600])
+    def test_evaluate_matches_polyval(self, order):
+        rng = np.random.default_rng(100 + order)
+        s = random_series(rng, order)
+        for z in (0j, 0.5, -0.2 + 0.9j, 0.7 * np.exp(2.1j)):
+            assert _same_bits(s.evaluate(z), complex(npoly.polyval(complex(z), s.coeffs)))
+
+    @pytest.mark.parametrize("order", [1, 16, 600])
+    def test_apply_operator_matches_polyval(self, order):
+        rng = np.random.default_rng(200 + order)
+        h = random_series(rng, order)
+        p = ClassParams(gamma=0.7, delta=1.3, lam=0.1)
+        for z in (0.0, 0.4 - 0.3j, 0.95 * np.exp(0.6j)):
+            z = np.asarray(complex(z))
+            d1, d2, d3 = (npoly.polyval(z, h.derivative(k).coeffs) for k in (1, 2, 3))
+            ref = p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
+            assert _same_bits(apply_operator(h, p, complex(z)), complex(ref))
 
 
 class TestDerivative:
