@@ -4,12 +4,19 @@ Every command prints one JSON result on stdout; ``--verbose`` adds a human
 summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
 verdict fails, 2 on usage or validation errors, 3 on an internal fault (its
 traceback goes to stderr).
+
+Each command takes exactly the flags its body reads (``_COMMAND_FLAGS``);
+any other flag is a usage error.  An omitted flag takes the library's
+default, so the CLI passes on only the values it was given.  Three defaults
+belong to the CLI itself: the growth radius 0.5, the envelope grid radius
+0.9, and the plot's 3 circles up to radius 0.75.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import traceback
@@ -18,78 +25,66 @@ from . import bounds, closure, geometry, membership, radii, serialize, svgplot
 from .errors import HarmonicDiskError
 from .maps import ClassParams, HarmonicMap, make_extremal_full, make_extremal_single, sense_preserving_check
 from .sampling import MembershipVerdict, PolarGrid
-from .radii import RadiusReport
+
+#: argparse settings of every flag.  An omitted flag parses to None (``--in``
+#: to an empty list), which the command bodies leave to the library.
+_FLAGS = {
+    "--gamma": {"type": float},
+    "--delta": {"type": float},
+    "--lambda": {"dest": "lam", "type": float},
+    "--grid-radius": {"type": float},
+    "--grid-radii": {"type": int},
+    "--grid-angles": {"type": int},
+    "--in": {"dest": "inputs", "action": "append", "default": []},
+    "--out": {},
+    "--verbose": {"action": "store_true"},
+    "--tol": {"type": float},
+    "--n-eps": {"type": int},
+    "--order": {"type": int},
+    "--m": {"type": int},
+    "property": {"choices": ("starlike", "convex")},
+}
+
+_PARAMS = ("--gamma", "--delta", "--lambda")
+_GRID = ("--grid-radius", "--grid-radii", "--grid-angles")
+
+#: Per command: its help line and the flags its body reads (``--verbose``,
+#: which ``run_command`` reads, is added to every command).
+_COMMAND_FLAGS = {
+    "check": ("membership checks for a map document", (*_PARAMS, *_GRID, "--in", "--n-eps")),
+    "radii": ("fully-convex and fully-starlike radii of the class", (*_PARAMS, "--in", "--tol")),
+    "growth": ("growth envelope values, and the envelope check with --in",
+               (*_PARAMS, *_GRID, "--in", "--order")),
+    "extremal": ("construct a sharp extremal map document", (*_PARAMS, "--out", "--m", "--order")),
+    "convolve": ("harmonic convolution of two map documents", ("--in", "--out")),
+    "oracle": ("bisection radius of a per-circle geometry property",
+               ("--grid-angles", "--in", "--tol", "property")),
+    "plot": ("SVG of circle images of a map document", (*_GRID, "--in", "--out")),
+    "report": ("full diagnostic report for a map document",
+               (*_PARAMS, *_GRID, "--in", "--tol", "--n-eps")),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="harmonicdisk",
         description="Construct, test and analyze planar harmonic mappings on the unit disk.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--gamma", type=float)
-    params.add_argument("--delta", type=float)
-    params.add_argument("--lambda", dest="lam", type=float)
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-radius", type=float, default=None)
-    grid.add_argument("--grid-radii", type=int, default=None)
-    grid.add_argument("--grid-angles", type=int, default=None)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--in", dest="inputs", action="append", default=[])
-    common.add_argument("--out", default=None)
-    common.add_argument("--verbose", action="store_true")
-    common.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("check", parents=[params, grid, common],
-                       help="membership checks for a map document")
-    p.add_argument("--n-eps", type=int, default=16)
-
-    sub.add_parser("radii", parents=[params, common],
-                   help="fully-convex and fully-starlike radii of the class")
-
-    p = sub.add_parser("growth", parents=[params, grid, common],
-                       help="growth envelope values, and the envelope check with --in")
-    p.add_argument("--order", type=int, default=64)
-
-    p = sub.add_parser("extremal", parents=[params, common],
-                       help="construct a sharp extremal map document")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-
-    sub.add_parser("convolve", parents=[common],
-                   help="harmonic convolution of two map documents")
-
-    p = sub.add_parser("oracle", parents=[grid, common],
-                       help="bisection radius of a per-circle geometry property")
-    p.add_argument("property", choices=("starlike", "convex"))
-
-    p = sub.add_parser("plot", parents=[grid, common],
-                       help="SVG of circle images of a map document")
-
-    p = sub.add_parser("report", parents=[params, grid, common],
-                       help="full diagnostic report for a map document")
-    p.add_argument("--n-eps", type=int, default=16)
-
+    for name, (help_text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--verbose"):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 # -- small converters --------------------------------------------------------
 
 
-def _params_json(p: ClassParams) -> dict:
-    return {"gamma": p.gamma, "delta": p.delta, "lambda": p.lam}
-
-
 def _verdict_json(v: MembershipVerdict) -> dict:
     return {**dataclasses.asdict(v), "witness": [v.witness.real, v.witness.imag]}
-
-
-def _radius_json(r: RadiusReport) -> dict:
-    return dataclasses.asdict(r)
 
 
 def _sufficient_json(s: membership.SufficientCondition) -> dict:
@@ -111,6 +106,11 @@ def _any_verdict_failed(obj) -> bool:
 # -- argument resolution ------------------------------------------------------
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flag was given; the others keep the library default."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 def _resolve_params(args, doc_params: ClassParams | None) -> ClassParams:
     given = [args.gamma, args.delta, args.lam]
     if any(v is not None for v in given):
@@ -124,12 +124,9 @@ def _resolve_params(args, doc_params: ClassParams | None) -> ClassParams:
     )
 
 
-def _grid_from_args(args, default_radius: float = 0.95) -> PolarGrid:
-    return PolarGrid(
-        max_radius=args.grid_radius if args.grid_radius is not None else default_radius,
-        n_radii=args.grid_radii if args.grid_radii is not None else 24,
-        n_angles=args.grid_angles if args.grid_angles is not None else 96,
-    )
+def _grid_from_args(args, **defaults) -> PolarGrid:
+    given = _given(max_radius=args.grid_radius, n_radii=args.grid_radii, n_angles=args.grid_angles)
+    return PolarGrid(**{**defaults, **given})
 
 
 def _load_single(args) -> tuple[HarmonicMap, ClassParams | None, dict]:
@@ -138,70 +135,77 @@ def _load_single(args) -> tuple[HarmonicMap, ClassParams | None, dict]:
     return serialize.load_map(args.inputs[0])
 
 
+def _map_and_params(args, required: bool = True) -> tuple[HarmonicMap | None, ClassParams]:
+    """The ``--in`` map (None when optional and absent) and the resolved class parameters."""
+    f = doc_params = None
+    if required or args.inputs:
+        f, doc_params, _ = _load_single(args)
+    return f, _resolve_params(args, doc_params)
+
+
 # -- command bodies -----------------------------------------------------------
 
 
-def _cmd_check(args) -> dict:
-    f, doc_params, _ = _load_single(args)
-    p = _resolve_params(args, doc_params)
-    grid = _grid_from_args(args)
+def _check_entries(args, f: HarmonicMap, p: ClassParams, grid: PolarGrid) -> dict:
+    """The result of ``check``, which ``report`` extends."""
     return {
-        "params": _params_json(p),
+        "params": serialize._params_json(p),
         "sufficient": _sufficient_json(membership.membership_sufficient(f, p)),
         "sense_preserving": _verdict_json(sense_preserving_check(f, grid)),
         "membership": _verdict_json(membership.membership_sampled(f, p, grid)),
         "slices": _verdict_json(
-            membership.slice_membership_sampled(f, p, n_eps=args.n_eps, grid=grid)
+            membership.slice_membership_sampled(f, p, grid=grid, **_given(n_eps=args.n_eps))
         ),
     }
 
 
-def _cmd_radii(args) -> dict:
-    doc_params = None
-    if args.inputs:
-        _, doc_params, _ = _load_single(args)
-    p = _resolve_params(args, doc_params)
-    tol = args.tol if args.tol is not None else 1e-9
+def _radii_entries(args, p: ClassParams) -> dict:
+    tol = _given(tol=args.tol)
     return {
-        "params": _params_json(p),
-        "fully_starlike": _radius_json(radii.radius_fully_starlike(p, tol)),
-        "fully_convex": _radius_json(radii.radius_fully_convex(p, tol)),
+        "fully_starlike": dataclasses.asdict(radii.radius_fully_starlike(p, **tol)),
+        "fully_convex": dataclasses.asdict(radii.radius_fully_convex(p, **tol)),
     }
 
 
+def _cmd_check(args) -> dict:
+    f, p = _map_and_params(args)
+    return _check_entries(args, f, p, _grid_from_args(args))
+
+
+def _cmd_radii(args) -> dict:
+    _, p = _map_and_params(args, required=False)
+    return {"params": serialize._params_json(p), **_radii_entries(args, p)}
+
+
 def _cmd_growth(args) -> dict:
-    doc_params = None
-    f = None
-    if args.inputs:
-        f, doc_params, _ = _load_single(args)
-    p = _resolve_params(args, doc_params)
+    f, p = _map_and_params(args, required=False)
     r = args.grid_radius if args.grid_radius is not None else 0.5
-    up = bounds.growth_upper(p, r, args.order)
-    lo = bounds.growth_lower(p, r, args.order)
+    n_terms = _given(n_terms=args.order)
+    up = bounds.growth_upper(p, r, **n_terms)
+    lo = bounds.growth_lower(p, r, **n_terms)
     result = {
-        "params": _params_json(p),
+        "params": serialize._params_json(p),
         "r": r,
-        "n_terms": args.order,
+        "n_terms": up.n_terms,
         "upper": {"value": up.value, "tail": up.tail},
         "lower": {"value": lo.value, "tail": lo.tail},
     }
     if f is not None:
-        grid = _grid_from_args(args, default_radius=0.9)
-        result["envelope"] = _verdict_json(bounds.growth_envelope_check(f, p, grid, args.order))
+        grid = _grid_from_args(args, max_radius=0.9)
+        result["envelope"] = _verdict_json(bounds.growth_envelope_check(f, p, grid, **n_terms))
     return result
 
 
 def _cmd_extremal(args) -> dict:
     p = _resolve_params(args, None)
+    order = _given(order=args.order)
     if args.m is not None:
-        f = make_extremal_single(p, args.m, order=args.order)
+        f = make_extremal_single(p, args.m, **order)
     else:
-        f = make_extremal_full(p, order=args.order if args.order is not None else 64)
-    doc = serialize.map_to_document(f, params=p)
+        f = make_extremal_full(p, **order)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps_document(doc))
-    return doc
+        serialize.save_map(f, args.out, params=p)
+    return serialize.map_to_document(f, params=p)
 
 
 def _cmd_convolve(args) -> dict:
@@ -210,20 +214,18 @@ def _cmd_convolve(args) -> dict:
     f1, p1, _ = serialize.load_map(args.inputs[0])
     f2, p2, _ = serialize.load_map(args.inputs[1])
     g = closure.convolve_harmonic(f1, f2)
-    params = p1 if (p1 is not None and p1 == p2) else None
-    doc = serialize.map_to_document(g, params=params)
+    params = p1 if p1 == p2 else None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps_document(doc))
-    return doc
+        serialize.save_map(g, args.out, params=params)
+    return serialize.map_to_document(g, params=params)
 
 
 def _cmd_oracle(args) -> dict:
     f, _, _ = _load_single(args)
-    tol = args.tol if args.tol is not None else 1e-3
-    n_theta = args.grid_angles if args.grid_angles is not None else 1024
-    report = radii.numeric_radius_oracle(f, args.property, tol=tol, n_theta=n_theta)
-    return {"property": args.property, "report": _radius_json(report)}
+    report = radii.numeric_radius_oracle(
+        f, args.property, **_given(tol=args.tol, n_theta=args.grid_angles)
+    )
+    return {"property": args.property, "report": dataclasses.asdict(report)}
 
 
 def _cmd_plot(args) -> dict:
@@ -232,34 +234,28 @@ def _cmd_plot(args) -> dict:
         raise HarmonicDiskError("plot requires --out for the SVG file")
     r_max = args.grid_radius if args.grid_radius is not None else 0.75
     count = args.grid_radii if args.grid_radii is not None else 3
-    n = args.grid_angles if args.grid_angles is not None else 256
     radii_list = [r_max * k / count for k in range(1, count + 1)]
-    polylines = [geometry.circle_image(f, r, n) for r in radii_list]
+    polylines = [geometry.circle_image(f, r, **_given(n=args.grid_angles)) for r in radii_list]
     svgplot.emit_svg(polylines, args.out)
-    return {"written": args.out, "radii": radii_list, "points_per_circle": n}
+    return {"written": args.out, "radii": radii_list, "points_per_circle": polylines[0].n}
 
 
 def _cmd_report(args) -> dict:
-    f, doc_params, _ = _load_single(args)
-    p = _resolve_params(args, doc_params)
+    f, p = _map_and_params(args)
     grid = _grid_from_args(args)
-    tol = args.tol if args.tol is not None else 1e-9
+    checks = _check_entries(args, f, p, grid)
     bound_report = bounds.coefficient_bound_check(f, p)
     return {
-        "params": _params_json(p),
-        "sufficient": _sufficient_json(membership.membership_sufficient(f, p)),
+        # the bounds go between check's first two entries and the rest
+        "params": checks.pop("params"),
+        "sufficient": checks.pop("sufficient"),
         "bounds": {
             "holds": bound_report.all_within,
             "rows": [dataclasses.asdict(r) for r in bound_report.rows],
         },
-        "sense_preserving": _verdict_json(sense_preserving_check(f, grid)),
-        "membership": _verdict_json(membership.membership_sampled(f, p, grid)),
-        "slices": _verdict_json(
-            membership.slice_membership_sampled(f, p, n_eps=args.n_eps, grid=grid)
-        ),
+        **checks,
         "growth_envelope": _verdict_json(bounds.growth_envelope_check(f, p, grid)),
-        "fully_starlike": _radius_json(radii.radius_fully_starlike(p, tol)),
-        "fully_convex": _radius_json(radii.radius_fully_convex(p, tol)),
+        **_radii_entries(args, p),
     }
 
 
@@ -288,9 +284,8 @@ def _summarize(result: dict, out) -> None:
 
 def run_command(argv: list[str]) -> int:
     """Parse and execute one CLI invocation; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -304,7 +299,7 @@ def run_command(argv: list[str]) -> int:
         traceback.print_exc()
         return 3
     print(json.dumps(result, indent=2))
-    if getattr(args, "verbose", False):
+    if args.verbose:
         _summarize(result, sys.stderr)
     return 1 if _any_verdict_failed(result) else 0
 

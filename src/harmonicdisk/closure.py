@@ -14,10 +14,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
-from .maps import ClassParams, HarmonicMap
+from .errors import DomainError
+from .maps import ClassParams, HarmonicMap, _check_normalized
 from .membership import _coefficient_sum
-from .series import COEFF_TOL, TruncatedSeries
+from .series import TruncatedSeries
 
 _WEIGHT_TOL = 1e-12
 
@@ -61,8 +61,7 @@ def convolve_analytic(f: HarmonicMap, phi: TruncatedSeries) -> HarmonicMap:
     The factor must be normalized (phi(0) = 0, phi'(0) = 1).  With the
     truncated z/(1-z) this is the identity operation.
     """
-    if phi.order < 1 or abs(phi.coeff(0)) > COEFF_TOL or abs(phi.coeff(1) - 1.0) > COEFF_TOL:
-        raise NormalizationError("analytic factor must satisfy phi(0)=0, phi'(0)=1")
+    _check_normalized(phi, want_unit_slope=True, label="phi")
     return HarmonicMap(f.s.hadamard(phi), f.t.hadamard(phi))
 
 

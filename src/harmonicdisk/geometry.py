@@ -80,11 +80,11 @@ def circle_image(f: HarmonicMap, r: float, n: int = 256) -> CirclePolyline:
     return CirclePolyline(radius=r, points=evaluate_map_many(f, z), n=n)
 
 
-def _angular_tangent(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
-    """d/dtheta of f(r e^{i theta}): i*(z s'(z) - conj(z t'(z)))."""
+def _circle_rate(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
+    """z s'(z) - conj(z t'(z)); i times it is d/dtheta of f(r e^{i theta})."""
     sp = eval_many(f.s.derivative(), z)
     tp = eval_many(f.t.derivative(), z)
-    return 1j * (z * sp - np.conj(z * tp))
+    return z * sp - np.conj(z * tp)
 
 
 def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
@@ -100,9 +100,7 @@ def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVer
     fv = evaluate_map_many(f, z)
     if float(np.min(np.abs(fv))) < _VALUE_FLOOR:
         raise DegenerateCurveError(f"map value vanishes on circle r={r}")
-    sp = eval_many(f.s.derivative(), z)
-    tp = eval_many(f.t.derivative(), z)
-    margins = np.real((z * sp - np.conj(z * tp)) / fv)
+    margins = np.real(_circle_rate(f, z) / fv)
     return verdict_from_margins(margins, z, f"{n} samples on circle r={r}")
 
 
@@ -118,7 +116,7 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     """
     r = _check_circle_args(r, n)
     z = _circle_points(r, n)
-    tangent = _angular_tangent(f, z)
+    tangent = 1j * _circle_rate(f, z)
     if float(np.min(np.abs(tangent))) < _TANGENT_FLOOR:
         raise DegenerateCurveError(f"tangent vanishes on circle r={r}")
     raw = np.angle(tangent)

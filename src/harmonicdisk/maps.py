@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, check_disk_point, eval_many
+from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_many
 
 #: A holding sense-preservation verdict with margin below this is flagged
 #: near-degenerate: extremal maps attain equality only as |z| -> 1, so
@@ -93,8 +93,9 @@ class HarmonicMap:
 
     def evaluate(self, z: complex) -> complex:
         """Map value ``s(z) + conj(t(z))`` for |z| <= 1."""
-        z = check_disk_point(z)
-        return self.s.evaluate(z) + self.t.evaluate(z).conjugate()
+        z = complex(z)
+        _check_disk(z)
+        return complex(_horner(self.s.coeffs, z)) + complex(_horner(self.t.coeffs, z)).conjugate()
 
     def analytic_slice(self, eps: complex) -> TruncatedSeries:
         """The analytic function ``s + eps*t`` for unimodular eps.

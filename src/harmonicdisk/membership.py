@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
-from .maps import ClassParams, HarmonicMap
+from .errors import DomainError
+from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, TruncatedSeries, check_disk_point, eval_many
+from .series import TruncatedSeries, eval_many
 
 
 def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
@@ -31,9 +31,8 @@ def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.nd
 
 
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:
-    """Value of gamma*h'(z) + delta*z*h''(z) + ((delta-gamma)/2)*z^2*h'''(z)."""
-    z = check_disk_point(z)
-    return complex(_operator_values(h, p, np.asarray(z)))
+    """Value of gamma*h'(z) + delta*z*h''(z) + ((delta-gamma)/2)*z^2*h'''(z) for |z| <= 1."""
+    return complex(_operator_values(h, p, np.asarray(complex(z))))
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,9 @@ def slice_membership_sampled(
     return replace(v, samples=int(stacked.size))
 
 
-def _check_slice_normalized(F: TruncatedSeries) -> None:
-    if F.order < 1 or abs(F.coeff(0)) > COEFF_TOL or abs(F.coeff(1) - 1.0) > COEFF_TOL:
-        raise NormalizationError("analytic test function must satisfy F(0)=0, F'(0)=1")
-
-
 def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:
     """Sampled Re F'(z) > 0, the analytic close-to-convexity criterion."""
-    _check_slice_normalized(F)
+    _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
     pts = grid.points()
     margins = np.real(eval_many(F.derivative(), pts))
@@ -122,7 +116,7 @@ def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> Membe
     needs no special casing (the shifted value at 0 is F'(0) = 1); grids here
     exclude 0 anyway.
     """
-    _check_slice_normalized(F)
+    _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
     pts = grid.points()
     ratio = eval_many(TruncatedSeries(F.coeffs[1:]), pts)

@@ -100,6 +100,11 @@ def document_to_map(doc: Any) -> tuple[HarmonicMap, ClassParams | None, dict]:
     return f, params, meta
 
 
+def _params_json(params: ClassParams) -> dict:
+    """The ``params`` object of a document."""
+    return {"gamma": params.gamma, "delta": params.delta, "lambda": params.lam}
+
+
 def map_to_document(
     f: HarmonicMap, params: ClassParams | None = None, meta: dict | None = None
 ) -> dict:
@@ -110,7 +115,7 @@ def map_to_document(
     """
     doc: dict[str, Any] = {"version": SCHEMA_VERSION}
     if params is not None:
-        doc["params"] = {"gamma": params.gamma, "delta": params.delta, "lambda": params.lam}
+        doc["params"] = _params_json(params)
     doc["s_coeffs"] = [[c.real, c.imag] for c in (complex(x) for x in f.s.coeffs)]
     doc["t_coeffs"] = [[c.real, c.imag] for c in (complex(x) for x in f.t.coeffs)]
     if meta is not None:

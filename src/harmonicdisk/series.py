@@ -49,14 +49,13 @@ def _as_coeff_array(coeffs) -> np.ndarray:
     return arr
 
 
-def check_disk_point(z: complex) -> complex:
-    """Validate that *z* is a finite point of the closed unit disk."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("evaluation point must be finite")
-    if abs(z) > 1.0 + _EDGE_SLACK:
-        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {abs(z)}")
-    return z
+def _check_disk(z) -> None:
+    """Raise DomainError unless *z*, a number or an array, lies in the closed unit disk."""
+    if not np.all(np.isfinite(z)):
+        raise DomainError("evaluation points must be finite")
+    r = float(np.max(np.abs(z))) if np.size(z) else 0.0
+    if r > 1.0 + _EDGE_SLACK:
+        raise DomainError(f"evaluation points must satisfy |z| <= 1, got |z| = {r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +138,8 @@ class TruncatedSeries:
 
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation at a point of the closed unit disk."""
-        z = check_disk_point(z)
+        z = complex(z)
+        _check_disk(z)
         return complex(_horner(self.coeffs, z))
 
     def derivative(self, k: int = 1) -> "TruncatedSeries":
@@ -193,8 +193,5 @@ def _horner(coeffs: np.ndarray, z):
 def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation on an array of closed-disk points."""
     z = np.asarray(z, dtype=np.complex128)
-    if z.size and not (np.all(np.isfinite(z.real)) and np.all(np.isfinite(z.imag))):
-        raise DomainError("evaluation points must be finite")
-    if z.size and float(np.max(np.abs(z))) > 1.0 + _EDGE_SLACK:
-        raise DomainError("evaluation points must satisfy |z| <= 1")
+    _check_disk(z)
     return _horner(series.coeffs, z)

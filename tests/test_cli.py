@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,11 +7,20 @@ import pytest
 from harmonicdisk import (
     ClassParams,
     HarmonicMap,
+    PolarGrid,
     TruncatedSeries,
     circle_image,
+    growth_upper,
     identity_map,
+    load_map,
+    make_extremal_full,
     make_extremal_single,
+    membership_sampled,
+    numeric_radius_oracle,
+    radius_fully_convex,
     save_map,
+    sense_preserving_check,
+    slice_membership_sampled,
 )
 from harmonicdisk import cli
 from harmonicdisk.cli import run_command
@@ -198,6 +208,86 @@ class TestReportCommand:
         assert code == 1
         assert out["bounds"]["holds"] is False
         assert out["membership"]["holds"] is True
+
+
+#: (command, flag) pairs the command does not read, so it does not accept them
+UNDECLARED = [
+    ("check", "--out"), ("check", "--tol"), ("radii", "--out"), ("growth", "--out"),
+    ("growth", "--tol"), ("extremal", "--in"), ("extremal", "--tol"), ("convolve", "--tol"),
+    ("oracle", "--grid-radius"), ("oracle", "--grid-radii"), ("oracle", "--out"),
+    ("plot", "--tol"), ("report", "--out"),
+]
+
+
+def valid_argv(command, doc, tmp_path):
+    return {
+        "check": ["check", "--in", doc],
+        "radii": ["radii", *PFLAGS],
+        "growth": ["growth", *PFLAGS],
+        "extremal": ["extremal", *PFLAGS, "--order", "4"],
+        "convolve": ["convolve", "--in", doc, "--in", doc],
+        "oracle": ["oracle", "starlike", "--in", doc, "--grid-angles", "64", "--tol", "0.05"],
+        "plot": ["plot", "--in", doc, "--out", str(tmp_path / "p.svg")],
+        "report": ["report", "--in", doc],
+    }[command]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag", UNDECLARED)
+    def test_undeclared_flag_exits_two(self, capsys, extremal_doc, tmp_path, command, flag):
+        argv = valid_argv(command, extremal_doc, tmp_path)
+        assert run_command(argv) == 0
+        assert run_command([*argv, flag, "0.5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, capsys, extremal_doc):
+        assert cli.build_parser() is cli.build_parser()
+        # a shared --in list would hand the second run two documents
+        assert run_command(["check", "--in", extremal_doc]) == 0
+        assert run_command(["check", "--in", extremal_doc]) == 0
+        capsys.readouterr()
+
+
+class TestLibraryDefaults:
+    """An omitted flag gives the library's default."""
+
+    def test_check(self, capsys, extremal_doc):
+        f, p, _ = load_map(extremal_doc)
+        _, out = run(capsys, ["check", "--in", extremal_doc])
+        assert out["membership"]["margin"] == membership_sampled(f, p, PolarGrid()).margin
+        assert out["membership"]["evidence"] == membership_sampled(f, p).evidence
+        assert out["sense_preserving"]["margin"] == sense_preserving_check(f).margin
+        slices = slice_membership_sampled(f, p)
+        assert (out["slices"]["margin"], out["slices"]["samples"]) == (slices.margin, slices.samples)
+
+    @pytest.mark.parametrize("prop", ["starlike", "convex"])
+    def test_oracle(self, capsys, tmp_path, prop):
+        # no symmetry, so the sampled minimum moves with the number of angles
+        path = tmp_path / "skewed.json"
+        f = HarmonicMap(TruncatedSeries([0, 1, 0.1 + 0.2j, 0.05j]), TruncatedSeries([0, 0, 0.1j, 0.03]))
+        save_map(f, path)
+        _, out = run(capsys, ["oracle", prop, "--in", str(path)])
+        assert out["report"] == json.loads(json.dumps(dataclasses.asdict(numeric_radius_oracle(f, prop))))
+
+    def test_echoed_defaults(self, capsys, extremal_doc, tmp_path):
+        _, out = run(capsys, ["growth", *PFLAGS])
+        assert out["n_terms"] == growth_upper(P110, 0.5).n_terms
+        assert out["upper"]["value"] == growth_upper(P110, 0.5).value
+        _, out = run(capsys, ["radii", *PFLAGS])
+        assert out["fully_convex"]["radius"] == radius_fully_convex(P110).radius
+        _, doc = run(capsys, ["extremal", *PFLAGS])
+        assert len(doc["s_coeffs"]) == make_extremal_full(P110).order + 1
+        _, out = run(capsys, ["plot", "--in", extremal_doc, "--out", str(tmp_path / "p.svg")])
+        assert out["points_per_circle"] == circle_image(identity_map(), 0.5).n
+
+    def test_report_extends_check(self, capsys, extremal_doc):
+        _, check = run(capsys, ["check", "--in", extremal_doc])
+        _, report = run(capsys, ["report", "--in", extremal_doc])
+        assert list(report) == [
+            "params", "sufficient", "bounds", "sense_preserving", "membership", "slices",
+            "growth_envelope", "fully_starlike", "fully_convex",
+        ]
+        assert {key: report[key] for key in check} == check
 
 
 class TestSvgEmitter:

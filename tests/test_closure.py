@@ -46,6 +46,13 @@ class TestConvexCombination:
         np.testing.assert_allclose(out.t.coeffs, [0, 0, 0.125, 1 / 18])
         np.testing.assert_allclose(out.s.coeffs, [0, 1, 0, 0])
 
+    def test_pads_the_shorter_part_of_a_map(self):
+        # s has order 2 and t order 4, so the map and the combination have order 4
+        f = map_from([0, 1, 0.1], [0, 0, 0, 0, 0.01])
+        out = convex_combination([f], [1.0])
+        np.testing.assert_array_equal(out.s.coeffs, [0, 1, 0.1, 0, 0])
+        np.testing.assert_array_equal(out.t.coeffs, f.t.coeffs)
+
     def test_truncates_to_shortest(self):
         f1 = map_from([0, 1, 0.1], [0, 0, 0])
         f2 = map_from([0, 1, 0.1, 0.05], [0, 0, 0, 0])
@@ -119,6 +126,8 @@ class TestConvolveAnalytic:
     def test_rejects_unnormalized_factor(self):
         with pytest.raises(NormalizationError):
             convolve_analytic(identity_map(2), TruncatedSeries([0, 2.0]))
+        with pytest.raises(NormalizationError, match=r"phi\[0\]: phi\(0\) must be 0"):
+            convolve_analytic(identity_map(2), TruncatedSeries([0.1, 1.0]))
 
 
 class TestClosureUnderMembership:

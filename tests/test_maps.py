@@ -16,7 +16,7 @@ from harmonicdisk import (
     sense_preserving_check,
 )
 
-from helpers import params_from, random_params
+from helpers import mixed_order_map, params_from, random_params
 
 
 class TestClassParams:
@@ -142,6 +142,18 @@ class TestEvaluateMap:
     def test_rejects_outside_disk(self):
         with pytest.raises(DomainError):
             identity_map().evaluate(1.5)
+
+    @pytest.mark.parametrize("z", [complex(float("nan"), 0), complex(0, float("inf"))])
+    def test_rejects_nonfinite_point(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            identity_map().evaluate(z)
+
+    def test_equals_the_parts_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        f = mixed_order_map(rng, 40, 25)
+        for z in rng.uniform(0, 1, 50) * np.exp(2j * np.pi * rng.uniform(size=50)):
+            ref = f.s.evaluate(z) + f.t.evaluate(z).conjugate()
+            assert np.asarray(f.evaluate(z)).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestAnalyticSlice:

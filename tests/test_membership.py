@@ -188,6 +188,18 @@ class TestAnalyticChecks:
         with pytest.raises(NormalizationError):
             half_plane_check(TruncatedSeries([0.3, 1.0]))
 
+    @pytest.mark.parametrize(
+        "check,coeffs,match",
+        [
+            (close_to_convex_check, [0, 2.0], r"F\[1\]: F'\(0\) must be 1"),
+            (half_plane_check, [0.3, 1.0], r"F\[0\]: F\(0\) must be 0"),
+            (half_plane_check, [0.0], r"F must have order >= 1"),
+        ],
+    )
+    def test_normalization_error_names_the_coefficient(self, check, coeffs, match):
+        with pytest.raises(NormalizationError, match=match):
+            check(TruncatedSeries(coeffs))
+
 
 class TestImplicationChain:
     """Sufficient condition => sampled membership => slice checks."""

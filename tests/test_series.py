@@ -36,6 +36,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             TruncatedSeries([0, 1]).evaluate(complex(float("nan"), 0))
 
+    @pytest.mark.parametrize("z", [[0.5, 1.01], [0.5, complex(float("nan"), 0)], [[0.1j], [-2.0]]])
+    def test_eval_many_rejects_what_evaluate_rejects(self, z):
+        with pytest.raises(DomainError):
+            eval_many(TruncatedSeries([0, 1]), np.array(z))
+
+    def test_eval_many_accepts_no_points(self):
+        assert eval_many(TruncatedSeries([0, 1]), np.zeros(0, dtype=complex)).shape == (0,)
+
     def test_rejects_nonfinite_coeffs(self):
         with pytest.raises(DomainError):
             TruncatedSeries([0, float("inf")])
