@@ -5,9 +5,13 @@ For a member of the inequality class the moduli satisfy, for every m >= 2,
     |b_m| <= 2*(gamma-lam) / (m^2 * [2*gamma + (delta-gamma)*(m-1)])
     |a_m| + |b_m|, ||a_m| - |b_m||, |a_m| <= twice that value,
 
-and |f(z)| is pinched between two explicit series in |z|.  Bounds are
-necessary conditions, so a violation disproves membership; reports therefore
-record slacks instead of raising.
+and |f(z)| is pinched between two explicit series in |z| that share one
+term sequence: the upper envelope sums it, the lower one alternates its
+signs.  ``_envelope`` builds those terms once for an array of radii; a
+per-radius bound (``growth_upper``, ``growth_lower``) is its one-row case, so
+it equals the row that ``growth_envelope_check`` uses at that radius.  Bounds
+are necessary conditions, so a violation disproves membership; reports
+therefore record slacks instead of raising.
 """
 
 from __future__ import annotations
@@ -79,57 +83,33 @@ class GrowthEstimate:
     n_terms: int
 
 
-def _growth_terms(p: ClassParams, r, n_terms: int) -> np.ndarray:
-    """Terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N along the last axis.
+def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarray, ...]:
+    """Upper value, upper tail, lower value and lower tail at each radius.
 
-    *r* is a radius or an array of radii; an array gives one row per radius.
-    The powers are taken up to r^(N+1) and the last one dropped, so numpy's
-    power always runs along m, as for one radius: a lone exponent column
-    would take its squaring shortcut and round differently.
+    One (radius, m) array holds the terms 2*(gamma-lam)*r^m/(m^2*[...]) for
+    m = 2..N.
     """
-    m = np.arange(2.0, n_terms + 2)
-    powers = (np.asarray(r)[..., None] ** m)[..., :-1]
-    return 2.0 * p.coefficient_budget() * powers / p.coefficient_weight(m[:-1])
-
-
-def _pow(r, k: int):
-    """r**k by the C library's pow, for a radius or elementwise for an array.
-
-    numpy's vectorized power can differ from it in the last bit, and an
-    envelope row must equal growth_upper/growth_lower at its radius exactly.
-    """
-    return r**k if np.ndim(r) == 0 else np.array([x**k for x in r.tolist()])
-
-
-def _upper(p: ClassParams, r, n_terms: int) -> tuple:
-    """Value and tail of the upper envelope at a radius or an array of radii."""
-    value = r + np.sum(_growth_terms(p, r, n_terms), axis=-1)
-    tail = (
-        2.0
-        * p.coefficient_budget()
-        / (n_terms * n_terms * 2.0 * p.gamma)
-        * _pow(r, n_terms + 1)
-        / (1.0 - r)
+    if n_terms < 2:
+        raise DomainError("growth bounds need n_terms >= 2")
+    scale = 2.0 * p.coefficient_budget()
+    m = np.arange(2.0, n_terms + 1)
+    terms = scale * radii[:, None] ** m / p.coefficient_weight(m)
+    signs = np.where(m % 2 == 0, -1.0, 1.0)
+    tail_power = radii ** (n_terms + 1)
+    return (
+        radii + np.sum(terms, axis=-1),
+        scale / (n_terms * n_terms * 2.0 * p.gamma) * tail_power / (1.0 - radii),
+        radii + np.sum(signs * terms, axis=-1),
+        scale * tail_power / p.coefficient_weight(n_terms + 1),
     )
-    return value, tail
 
 
-def _lower(p: ClassParams, r, n_terms: int) -> tuple:
-    """Value and tail of the lower envelope at a radius or an array of radii."""
-    signs = np.where(np.arange(2, n_terms + 1) % 2 == 0, -1.0, 1.0)
-    value = r + np.sum(signs * _growth_terms(p, r, n_terms), axis=-1)
-    n1 = n_terms + 1
-    tail = 2.0 * p.coefficient_budget() * _pow(r, n1) / p.coefficient_weight(n1)
-    return value, tail
-
-
-def _check_growth_args(r: float, n_terms: int) -> float:
+def _at_radius(p: ClassParams, r: float, n_terms: int) -> list[float]:
+    """The four envelope values at one radius *r*, once it is checked to lie in [0, 1)."""
     r = float(r)
     if not (math.isfinite(r) and 0.0 <= r < 1.0):
         raise DomainError(f"growth bounds need 0 <= r < 1, got {r}")
-    if n_terms < 2:
-        raise DomainError("growth bounds need n_terms >= 2")
-    return r
+    return [float(x[0]) for x in _envelope(p, np.array([r]), n_terms)]
 
 
 def growth_upper(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> GrowthEstimate:
@@ -138,8 +118,8 @@ def growth_upper(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> Grow
     The tail bound majorizes every omitted term by
     4*(gamma-lam)/(N^2*2*gamma) * r^m and sums the geometric series.
     """
-    value, tail = _upper(p, _check_growth_args(r, n_terms), n_terms)
-    return GrowthEstimate(value=float(value), tail=tail, n_terms=n_terms)
+    value, tail, _, _ = _at_radius(p, r, n_terms)
+    return GrowthEstimate(value=value, tail=tail, n_terms=n_terms)
 
 
 def growth_lower(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> GrowthEstimate:
@@ -150,8 +130,8 @@ def growth_lower(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> Grow
     large gamma-lam the value can be negative; it is reported raw (the
     envelope check is then vacuous on the lower side), nothing is clamped.
     """
-    value, tail = _lower(p, _check_growth_args(r, n_terms), n_terms)
-    return GrowthEstimate(value=float(value), tail=tail, n_terms=n_terms)
+    _, _, value, tail = _at_radius(p, r, n_terms)
+    return GrowthEstimate(value=value, tail=tail, n_terms=n_terms)
 
 
 def growth_envelope_check(
@@ -171,11 +151,8 @@ def growth_envelope_check(
     disproves membership.
     """
     grid = grid or PolarGrid()
-    _check_growth_args(grid.max_radius, n_terms)
-    radii = grid.radii()
+    upper, upper_tail, lower, lower_tail = _envelope(p, grid.radii(), n_terms)
     pts = grid.points()
     absf = np.abs(evaluate_map_many(f, pts))
-    upper = np.add(*_upper(p, radii, n_terms))
-    lower = np.subtract(*_lower(p, radii, n_terms))
-    margins = np.minimum(upper[:, None] - absf, absf - lower[:, None])
+    margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
     return verdict_from_margins(margins, pts, grid.describe())

@@ -3,13 +3,15 @@
 Every command prints one JSON result on stdout; ``--verbose`` adds a human
 summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
 verdict fails, 2 on usage or validation errors, 3 on an internal fault (its
-traceback goes to stderr).
+traceback goes to stderr).  A reader that closes stdout early does not
+change the exit code.
 
-Each command takes exactly the flags its body reads (``_COMMAND_FLAGS``);
-any other flag is a usage error.  An omitted flag takes the library's
-default, so the CLI passes on only the values it was given.  Three defaults
-belong to the CLI itself: the growth radius 0.5, the envelope grid radius
-0.9, and the plot's 3 circles up to radius 0.75.
+Each command takes exactly the flags its body reads (``_COMMAND_FLAGS``),
+by their full names; any other flag, or an abbreviation, is a usage error.
+An omitted flag takes the library's default, so the CLI passes on only the
+values it was given.  Three defaults belong to the CLI itself: the growth
+radius 0.5, the envelope grid radius 0.9, and the plot's 3 circles up to
+radius 0.75.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -71,10 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonicdisk",
         description="Construct, test and analyze planar harmonic mappings on the unit disk.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _COMMAND_FLAGS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in (*flags, "--verbose"):
             p.add_argument(flag, **_FLAGS[flag])
     return parser
@@ -282,6 +286,13 @@ def _summarize(result: dict, out) -> None:
             print(f"{key}: radius {value['radius']:.9g}", file=out)
 
 
+def _print_json(obj) -> None:
+    try:
+        print(json.dumps(obj, indent=2))
+    except BrokenPipeError:
+        pass  # the reader closed stdout early; the exit code still reports the result
+
+
 def run_command(argv: list[str]) -> int:
     """Parse and execute one CLI invocation; returns the exit code."""
     try:
@@ -291,18 +302,24 @@ def run_command(argv: list[str]) -> int:
     try:
         result = _COMMANDS[args.command](args)
     except (HarmonicDiskError, ValueError, OSError) as e:
-        print(json.dumps({"error": str(e)}, indent=2))
+        _print_json({"error": str(e)})
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - any other failure is a bug, not bad input
-        print(json.dumps({"error": f"internal error: {type(e).__name__}: {e}"}, indent=2))
+        _print_json({"error": f"internal error: {type(e).__name__}: {e}"})
         traceback.print_exc()
         return 3
-    print(json.dumps(result, indent=2))
+    _print_json(result)
     if args.verbose:
         _summarize(result, sys.stderr)
     return 1 if _any_verdict_failed(result) else 0
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is closed: send what is left to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -10,7 +10,7 @@ slices ``s + eps*t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,6 +167,5 @@ def sense_preserving_check(f: HarmonicMap, grid: PolarGrid | None = None) -> Mem
     sp = eval_many(f.s.derivative(), pts)
     tp = eval_many(f.t.derivative(), pts)
     margins = np.abs(sp) - np.abs(tp)
-    return verdict_from_margins(
-        margins, pts, grid.describe(), degenerate_below=NEAR_DEGENERATE_MARGIN
-    )
+    v = verdict_from_margins(margins, pts, grid.describe())
+    return replace(v, near_degenerate=v.holds and v.margin < NEAR_DEGENERATE_MARGIN)

@@ -94,10 +94,12 @@ def slice_membership_sampled(
     ls = _operator_values(f.s, p, pts)
     lt = _operator_values(f.t, p, pts)
     eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
-    stacked = np.real(ls[None, :, :] + eps[:, None, None] * lt[None, :, :]) - p.lam
-    margins = stacked.min(axis=0)
+    # one eps at a time, so memory does not grow with n_eps
+    margins = np.real(ls + eps[0] * lt) - p.lam
+    for e in eps[1:]:
+        np.minimum(margins, np.real(ls + e * lt) - p.lam, out=margins)
     v = verdict_from_margins(margins, pts, f"{n_eps} slice values on {grid.describe()}")
-    return replace(v, samples=int(stacked.size))
+    return replace(v, samples=n_eps * margins.size)
 
 
 def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:

@@ -67,10 +67,7 @@ class MembershipVerdict:
 
 
 def verdict_from_margins(
-    margins: np.ndarray,
-    points: np.ndarray,
-    description: str,
-    degenerate_below: float | None = None,
+    margins: np.ndarray, points: np.ndarray, description: str
 ) -> MembershipVerdict:
     """Reduce pointwise margins to a verdict.
 
@@ -87,12 +84,10 @@ def verdict_from_margins(
         evidence = f"not falsified at {description}"
     else:
         evidence = f"violated at witness (margin {margin:.6e})"
-    near = bool(degenerate_below is not None and holds and margin < degenerate_below)
     return MembershipVerdict(
         holds=holds,
         margin=margin,
         witness=witness,
         samples=flat.size,
-        near_degenerate=near,
         evidence=evidence,
     )

@@ -19,7 +19,7 @@ from harmonicdisk import (
     make_extremal_full,
     make_extremal_single,
 )
-from harmonicdisk.bounds import _lower, _upper
+from harmonicdisk.bounds import _envelope
 from harmonicdisk.closure import random_member
 from harmonicdisk.maps import evaluate_map_many
 
@@ -164,8 +164,8 @@ class TestEnvelopeRows:
         for _ in range(10):
             p = random_params(rng)
             radii = PolarGrid(max_radius=float(rng.uniform(0.05, 0.99)), n_radii=17).radii()
-            upper = np.add(*_upper(p, radii, n_terms))
-            lower = np.subtract(*_lower(p, radii, n_terms))
+            upper, upper_tail, lower, lower_tail = _envelope(p, radii, n_terms)
+            upper, lower = upper + upper_tail, lower - lower_tail
             for r, u, lo in zip(radii.tolist(), upper.tolist(), lower.tolist()):
                 up, low = growth_upper(p, r, n_terms), growth_lower(p, r, n_terms)
                 assert u == up.value + up.tail

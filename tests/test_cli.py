@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,12 +244,50 @@ class TestFlags:
         assert run_command([*argv, flag, "0.5"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,short,full", [
+        ("growth", "--o", "--order"), ("check", "--n-e", "--n-eps"), ("radii", "--t", "--tol"),
+    ])
+    def test_abbreviated_flag_exits_two(self, capsys, extremal_doc, tmp_path, command, short, full):
+        argv = valid_argv(command, extremal_doc, tmp_path)
+        value = "1e-3" if full == "--tol" else "8"
+        assert run_command([*argv, short, value]) == 2
+        assert run_command([*argv, full, value]) == 0
+        capsys.readouterr()
+
     def test_parser_is_built_once(self, capsys, extremal_doc):
         assert cli.build_parser() is cli.build_parser()
         # a shared --in list would hand the second run two documents
         assert run_command(["check", "--in", extremal_doc]) == 0
         assert run_command(["check", "--in", extremal_doc]) == 0
         capsys.readouterr()
+
+
+def main_with_closed_stdout(argv):
+    """Exit code and stderr of ``cli.main`` in a child whose stdout reader is gone."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # buffered, as by default: a small result then fails only at the final flush
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from harmonicdisk.cli import main; main()", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early changes neither the exit code nor stderr."""
+
+    def test_large_output_keeps_exit_zero(self):
+        assert main_with_closed_stdout(["extremal", *PFLAGS, "--order", "4000"]) == (0, b"")
+
+    def test_failing_verdict_keeps_exit_one(self, failing_doc):
+        assert main_with_closed_stdout(["check", "--in", failing_doc]) == (1, b"")
 
 
 class TestLibraryDefaults:

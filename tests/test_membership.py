@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from harmonicdisk import (
     slice_membership_sampled,
 )
 from harmonicdisk.closure import random_member
+from harmonicdisk.membership import _operator_values
+from harmonicdisk.sampling import verdict_from_margins
 
 from helpers import mixed_order_map, random_params, random_series
 
@@ -153,6 +157,40 @@ class TestSliceMembership:
             overweight_map(), P110, n_eps=64, grid=PolarGrid(max_radius=0.99)
         )
         assert not v.holds
+
+    def test_equals_stacked_reference(self):
+        """Margin, witness and samples equal the minimum over the full (eps, radius, angle) stack."""
+        rng = np.random.default_rng(41)
+        for k in range(40):
+            p = random_params(rng)
+            f = random_member(p, rng, order=int(rng.integers(2, 40)))
+            if k % 3 == 0:  # scaled far past the class bound, 5 of these 14 maps fail
+                f = HarmonicMap(f.s, TruncatedSeries(300.0 * f.t.coeffs))
+            grid = PolarGrid(
+                max_radius=float(rng.uniform(0.1, 0.99)),
+                n_radii=int(rng.integers(1, 30)),
+                n_angles=int(rng.integers(4, 120)),
+            )
+            n_eps = int(rng.integers(4, 40))
+            pts = grid.points()
+            eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
+            ls, lt = _operator_values(f.s, p, pts), _operator_values(f.t, p, pts)
+            stacked = np.real(ls[None, :, :] + eps[:, None, None] * lt[None, :, :]) - p.lam
+            ref = verdict_from_margins(stacked.min(axis=0), pts, "")
+            v = slice_membership_sampled(f, p, n_eps=n_eps, grid=grid)
+            assert (v.holds, v.margin, v.witness) == (ref.holds, ref.margin, ref.witness)
+            assert v.samples == stacked.size
+
+    def test_memory_does_not_grow_with_slices(self):
+        def peak(n_eps):
+            tracemalloc.start()
+            try:
+                slice_membership_sampled(quarter_map(), P110, n_eps=n_eps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 2 * peak(4)
 
 
 class TestAnalyticChecks:
