@@ -86,20 +86,28 @@ class GrowthEstimate:
 def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarray, ...]:
     """Upper value, upper tail, lower value and lower tail at each radius.
 
-    One (radius, m) array holds the terms 2*(gamma-lam)*r^m/(m^2*[...]) for
-    m = 2..N.
+    The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
+    (radius, m) blocks of at least 4096 columns and about 2^16 terms, so
+    memory stays bounded for any N; a sum that fits one block is one array
+    reduction.
     """
     if n_terms < 2:
         raise DomainError("growth bounds need n_terms >= 2")
     scale = 2.0 * p.coefficient_budget()
-    m = np.arange(2.0, n_terms + 1)
-    terms = scale * radii[:, None] ** m / p.coefficient_weight(m)
-    signs = np.where(m % 2 == 0, -1.0, 1.0)
+    upper = np.zeros_like(radii)
+    lower = np.zeros_like(radii)
+    cols = max(4096, 2**16 // len(radii))
+    for m0 in range(2, n_terms + 1, cols):
+        m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
+        terms = scale * radii[:, None] ** m / p.coefficient_weight(m)
+        signs = np.where(m % 2 == 0, -1.0, 1.0)
+        upper += np.sum(terms, axis=-1)
+        lower += np.sum(signs * terms, axis=-1)
     tail_power = radii ** (n_terms + 1)
     return (
-        radii + np.sum(terms, axis=-1),
+        radii + upper,
         scale / (n_terms * n_terms * 2.0 * p.gamma) * tail_power / (1.0 - radii),
-        radii + np.sum(signs * terms, axis=-1),
+        radii + lower,
         scale * tail_power / p.coefficient_weight(n_terms + 1),
     )
 

@@ -5,6 +5,11 @@ exactly why per-circle tests are the right primitive: a map is fully
 starlike (fully convex) when every circle |z| = r < 1 maps one-to-one onto a
 curve bounding a starlike (convex) domain.  These sampled tests are the
 ground truth behind the numeric radius oracle.
+
+Every test samples one circle at n equally spaced angles, and those samples
+are a DFT of the radius-scaled coefficients: the values of s, t, z s' and
+z t' on the circle each come from one :func:`~harmonicdisk.series.eval_rings`
+call instead of an order-N Horner pass per point.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError
-from .maps import HarmonicMap, evaluate_map_many
+from .maps import HarmonicMap
 from .sampling import MembershipVerdict, verdict_from_margins
-from .series import eval_many
+from .series import TruncatedSeries, eval_rings
 
 #: Minimum number of angular samples for any circle computation.
 MIN_CIRCLE_SAMPLES = 64
@@ -49,6 +54,11 @@ def _circle_points(r: float, n: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def _ring(h: TruncatedSeries, r: float, n: int) -> np.ndarray:
+    """Values of h at the points of ``_circle_points(r, n)``."""
+    return eval_rings(h, [r], n)[0]
+
+
 @dataclass(frozen=True)
 class CirclePolyline:
     """Sampled image of a circle: points[k] = f(r * exp(2i*pi*k/n)).
@@ -76,15 +86,17 @@ class CirclePolyline:
 def circle_image(f: HarmonicMap, r: float, n: int = 256) -> CirclePolyline:
     """Uniform-angle sampling of f on the circle |z| = r."""
     r = _check_circle_args(r, n)
-    z = _circle_points(r, n)
-    return CirclePolyline(radius=r, points=evaluate_map_many(f, z), n=n)
+    return CirclePolyline(radius=r, points=_ring(f.s, r, n) + np.conj(_ring(f.t, r, n)), n=n)
 
 
-def _circle_rate(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
-    """z s'(z) - conj(z t'(z)); i times it is d/dtheta of f(r e^{i theta})."""
-    sp = eval_many(f.s.derivative(), z)
-    tp = eval_many(f.t.derivative(), z)
-    return z * sp - np.conj(z * tp)
+def _circle_rate(f: HarmonicMap, r: float, n: int) -> np.ndarray:
+    """z s'(z) - conj(z t'(z)) on the circle; i times it is d/dtheta of f(r e^{i theta}).
+
+    z h'(z) is the series with coefficients k*c_k, so neither a derivative
+    nor a multiply by z is needed.
+    """
+    zs, zt = (TruncatedSeries(h.coeffs * np.arange(len(h.coeffs))) for h in (f.s, f.t))
+    return _ring(zs, r, n) - np.conj(_ring(zt, r, n))
 
 
 def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
@@ -96,12 +108,11 @@ def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVer
     verdict: the origin is not cleanly enclosed.
     """
     r = _check_circle_args(r, n)
-    z = _circle_points(r, n)
-    fv = evaluate_map_many(f, z)
+    fv = circle_image(f, r, n).points
     if float(np.min(np.abs(fv))) < _VALUE_FLOOR:
         raise DegenerateCurveError(f"map value vanishes on circle r={r}")
-    margins = np.real(_circle_rate(f, z) / fv)
-    return verdict_from_margins(margins, z, f"{n} samples on circle r={r}")
+    margins = np.real(_circle_rate(f, r, n) / fv)
+    return verdict_from_margins(margins, _circle_points(r, n), f"{n} samples on circle r={r}")
 
 
 def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
@@ -115,8 +126,7 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     is an error.
     """
     r = _check_circle_args(r, n)
-    z = _circle_points(r, n)
-    tangent = 1j * _circle_rate(f, z)
+    tangent = 1j * _circle_rate(f, r, n)
     if float(np.min(np.abs(tangent))) < _TANGENT_FLOOR:
         raise DegenerateCurveError(f"tangent vanishes on circle r={r}")
     raw = np.angle(tangent)
@@ -125,7 +135,7 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     total = float(np.sum(steps))
     dtheta = 2.0 * np.pi / n
     rates = (steps + np.roll(steps, 1)) / (2.0 * dtheta)
-    v = verdict_from_margins(rates, z, f"{n} samples on circle r={r}")
+    v = verdict_from_margins(rates, _circle_points(r, n), f"{n} samples on circle r={r}")
     if abs(total - 2.0 * np.pi) > TURNING_TOL:
         margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
         return replace(

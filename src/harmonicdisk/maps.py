@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_many
+from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_many, eval_rings
 
 #: A holding sense-preservation verdict with margin below this is flagged
 #: near-degenerate: extremal maps attain equality only as |z| -> 1, so
@@ -163,9 +163,9 @@ def sense_preserving_check(f: HarmonicMap, grid: PolarGrid | None = None) -> Mem
     :data:`NEAR_DEGENERATE_MARGIN` carry the near-degenerate flag.
     """
     grid = grid or PolarGrid()
-    pts = grid.points()
-    sp = eval_many(f.s.derivative(), pts)
-    tp = eval_many(f.t.derivative(), pts)
+    radii = grid.radii()
+    sp = eval_rings(f.s.derivative(), radii, grid.n_angles)
+    tp = eval_rings(f.t.derivative(), radii, grid.n_angles)
     margins = np.abs(sp) - np.abs(tp)
-    v = verdict_from_margins(margins, pts, grid.describe())
+    v = verdict_from_margins(margins, grid.points(), grid.describe())
     return replace(v, near_degenerate=v.holds and v.margin < NEAR_DEGENERATE_MARGIN)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import TruncatedSeries, eval_many
+from .series import TruncatedSeries, eval_many, eval_rings
 
 
 def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
@@ -106,9 +106,8 @@ def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> 
     """Sampled Re F'(z) > 0, the analytic close-to-convexity criterion."""
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    pts = grid.points()
-    margins = np.real(eval_many(F.derivative(), pts))
-    return verdict_from_margins(margins, pts, grid.describe())
+    margins = np.real(eval_rings(F.derivative(), grid.radii(), grid.n_angles))
+    return verdict_from_margins(margins, grid.points(), grid.describe())
 
 
 def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:
@@ -120,7 +119,6 @@ def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> Membe
     """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    pts = grid.points()
-    ratio = eval_many(TruncatedSeries(F.coeffs[1:]), pts)
+    ratio = eval_rings(TruncatedSeries(F.coeffs[1:]), grid.radii(), grid.n_angles)
     margins = np.real(ratio) - 0.5
-    return verdict_from_margins(margins, pts, grid.describe())
+    return verdict_from_margins(margins, grid.points(), grid.describe())

@@ -5,12 +5,17 @@ the truncation order is ``len(coeffs) - 1``.  All operations are pure
 functions on immutable values, so instances can be shared freely between
 threads.
 
-Every value of a series, at one point (:meth:`TruncatedSeries.evaluate`) or
-on an array of points (:func:`eval_many`), comes from one Horner kernel that
-updates a single output array in place.  It performs the floating-point
-operations of ``numpy.polynomial.polynomial.polyval`` in the same order, so
-its values on points, grids and circles are bitwise equal to that function's,
-without the two temporary arrays ``polyval`` allocates per coefficient.
+Values come from one of two kernels.  At one point
+(:meth:`TruncatedSeries.evaluate`) or on an arbitrary array of points
+(:func:`eval_many`), a Horner kernel updates a single output array in place.
+It performs the floating-point operations of
+``numpy.polynomial.polynomial.polyval`` in the same order, so its values are
+bitwise equal to that function's, without the two temporary arrays
+``polyval`` allocates per coefficient.  On whole circles ``|z| = r``
+(:func:`eval_rings`), the samples at n equally spaced angles are a discrete
+Fourier transform of the radius-scaled coefficients, so one FFT per ring
+replaces an order-N Horner pass per point; its values agree with Horner's to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ _EDGE_SLACK = 1e-12
 
 #: Default truncation order for series built by map constructors.
 DEFAULT_ORDER = 64
+
+#: Below 2**-1075 a power r**k rounds to zero; :func:`eval_rings` does not
+#: evaluate powers whose log2 lies below this cut, because numpy's ``pow``
+#: takes a slow path for underflowing results.
+_UNDERFLOW_LOG2 = -1100.0
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -195,3 +205,32 @@ def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     _check_disk(z)
     return _horner(series.coeffs, z)
+
+
+def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
+    """Values at ``radii[i] * exp(2j*pi*k/n)``, shape ``(len(radii), n)``.
+
+    On the ring ``|z| = r`` the n samples are the inverse DFT of the
+    coefficients ``c[k] * r**k``, with index k folded onto ``k mod n`` when
+    the order reaches n.  The coefficients are folded one block of n at a
+    time, so no temporary is larger than ``(len(radii), n)``, and one FFT
+    along the angles then gives every ring.  ``numpy.fft`` is reached at call
+    time, because ``import numpy`` does not load it.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.ndim != 1:
+        raise DomainError("ring radii must form a 1-d sequence")
+    _check_disk(radii)
+    if np.any(radii < 0.0):
+        raise DomainError("ring radii must be nonnegative")
+    if n < 1:
+        raise DomainError(f"rings need at least one angle, got n = {n}")
+    c = series.coeffs
+    log2r = np.log2(np.maximum(radii, np.finfo(np.float64).smallest_subnormal))[:, None]
+    folded = np.zeros((len(radii), n), dtype=np.complex128)
+    for k0 in range(0, len(c), n):
+        k = np.arange(k0, min(k0 + n, len(c)), dtype=np.float64)
+        powers = np.zeros((len(radii), len(k)))
+        np.power(radii[:, None], k, out=powers, where=k * log2r > _UNDERFLOW_LOG2)
+        folded[:, : len(k)] += c[k0 : k0 + n] * powers
+    return np.fft.ifft(folded, axis=-1, norm="forward")

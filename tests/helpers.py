@@ -4,9 +4,16 @@ Parameter magnitudes are kept moderate so absolute tolerances of 1e-12 on
 operator identities stay meaningful in double precision.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from harmonicdisk import ClassParams, HarmonicMap, TruncatedSeries
+from harmonicdisk import ClassParams, HarmonicMap, MembershipVerdict, PolarGrid, TruncatedSeries
+from harmonicdisk.geometry import TURNING_TOL
+from harmonicdisk.maps import evaluate_map_many
+from harmonicdisk.sampling import verdict_from_margins
+from harmonicdisk.series import eval_many
 
 
 def random_params(rng: np.random.Generator) -> ClassParams:
@@ -55,3 +62,92 @@ def dense_injective(points: np.ndarray) -> bool:
     gap = np.abs(i[:, None] - i[None, :])
     adjacent = (gap <= 1) | (gap == n - 1)
     return not bool(np.any(crossing & ~adjacent))
+
+
+# -- Horner references of the ring-sampled checks --------------------------------
+#
+# The checks below sample whole circles, so the library computes them with
+# ``series.eval_rings`` (one FFT per ring).  These are the same formulas
+# evaluated point by point with the Horner kernel ``eval_many``, as the
+# library computed them before; tests compare the two within
+# ``ring_rounding_bound``.
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def ring_rounding_bound(series: TruncatedSeries, radii, n: int) -> np.ndarray:
+    """Per-ring bound on |eval_rings - eval_many| at the n points of each ring.
+
+    With S = sum |c_k| r^k and N + 1 coefficients, both values lie near the
+    exact one (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 5.1 and 24.1):
+
+    - Horner in complex arithmetic: at most 4(N+1) eps S;
+    - the point ``r*exp(2j*pi*k/n)`` built in floating point moves by at most
+      10 eps r, which moves the value by 10 eps sum k |c_k| r^k;
+    - the folded DFT: (ceil((N+1)/n) + 4) eps S for the radius powers and the
+      fold, and 4 log2(n) sqrt(n) eps S for the FFT.
+
+    The bound is proportional to eps S, since sum k |c_k| r^k <= N S.
+    """
+    radii = np.asarray(radii, dtype=np.float64)[:, None]
+    c = np.abs(series.coeffs)
+    k = np.arange(len(c))
+    powers = radii**k
+    s = powers @ c
+    sk = powers @ (k * c)
+    n_terms = len(c)
+    fold = math.ceil(n_terms / n) + 4 + 4 * math.log2(n) * math.sqrt(n)
+    return EPS * (4 * n_terms * s + 10 * sk + fold * s)
+
+
+def sense_preserving_horner(f: HarmonicMap, grid: PolarGrid) -> MembershipVerdict:
+    pts = grid.points()
+    sp = eval_many(f.s.derivative(), pts)
+    tp = eval_many(f.t.derivative(), pts)
+    return verdict_from_margins(np.abs(sp) - np.abs(tp), pts, grid.describe())
+
+
+def close_to_convex_horner(F: TruncatedSeries, grid: PolarGrid) -> MembershipVerdict:
+    pts = grid.points()
+    return verdict_from_margins(np.real(eval_many(F.derivative(), pts)), pts, grid.describe())
+
+
+def half_plane_horner(F: TruncatedSeries, grid: PolarGrid) -> MembershipVerdict:
+    pts = grid.points()
+    ratio = eval_many(TruncatedSeries(F.coeffs[1:]), pts)
+    return verdict_from_margins(np.real(ratio) - 0.5, pts, grid.describe())
+
+
+def circle_points(r: float, n: int) -> np.ndarray:
+    return r * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def circle_image_horner(f: HarmonicMap, r: float, n: int) -> np.ndarray:
+    return evaluate_map_many(f, circle_points(r, n))
+
+
+def circle_rate_horner(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
+    sp = eval_many(f.s.derivative(), z)
+    tp = eval_many(f.t.derivative(), z)
+    return z * sp - np.conj(z * tp)
+
+
+def starlike_on_circle_horner(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
+    z = circle_points(r, n)
+    margins = np.real(circle_rate_horner(f, z) / evaluate_map_many(f, z))
+    return verdict_from_margins(margins, z, f"{n} samples on circle r={r}")
+
+
+def convex_on_circle_horner(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
+    z = circle_points(r, n)
+    raw = np.angle(1j * circle_rate_horner(f, z))
+    steps = np.diff(raw, append=raw[:1])
+    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    total = float(np.sum(steps))
+    rates = (steps + np.roll(steps, 1)) / (2.0 * (2.0 * np.pi / n))
+    v = verdict_from_margins(rates, z, f"{n} samples on circle r={r}")
+    if abs(total - 2.0 * np.pi) > TURNING_TOL:
+        margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
+        return replace(v, holds=False, margin=margin)
+    return v

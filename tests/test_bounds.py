@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -187,6 +188,50 @@ class TestEnvelopeRows:
             v = growth_envelope_check(f, p, grid, n_terms)
             assert v.margin == float(margins.min())
             assert v.holds == bool(margins.min() > 0.0)
+
+
+class TestEnvelopeBlocks:
+    """Long sums run in column blocks: bounded memory, the one-array values."""
+
+    @staticmethod
+    def one_array(p, radii, n_terms):
+        """The envelope sums as one (radius, m) array, the form before blocking."""
+        m = np.arange(2.0, n_terms + 1)
+        terms = 2.0 * p.coefficient_budget() * radii[:, None] ** m / p.coefficient_weight(m)
+        signs = np.where(m % 2 == 0, -1.0, 1.0)
+        return radii + np.sum(terms, axis=-1), radii + np.sum(signs * terms, axis=-1)
+
+    def test_memory_does_not_grow_with_terms(self):
+        def peak(n_terms):
+            tracemalloc.start()
+            try:
+                growth_upper(P110, 0.5, n_terms)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**6) <= 2 * peak(10**5)
+
+    @pytest.mark.parametrize(("n_radii", "n_terms"), [(1, 200_000), (40, 20_000), (17, 4096 * 3 + 5)])
+    def test_several_blocks_match_one_array(self, n_radii, n_terms):
+        rng = np.random.default_rng(n_terms)
+        for _ in range(3):
+            p = random_params(rng)
+            radii = PolarGrid(max_radius=float(rng.uniform(0.5, 0.999)), n_radii=n_radii).radii()
+            upper, _, lower, _ = _envelope(p, radii, n_terms)
+            ref_upper, ref_lower = self.one_array(p, radii, n_terms)
+            np.testing.assert_allclose(upper, ref_upper, rtol=1e-15, atol=0)
+            # the alternating sum can cancel, so its error is relative to the sum of moduli
+            assert np.all(np.abs(lower - ref_lower) <= 1e-15 * ref_upper)
+
+    @pytest.mark.parametrize("n_terms", [2, 64, 4096])
+    def test_one_block_is_bitwise_the_one_array(self, n_terms):
+        rng = np.random.default_rng(3 + n_terms)
+        p = random_params(rng)
+        radii = PolarGrid(max_radius=0.95, n_radii=96).radii()
+        upper, _, lower, _ = _envelope(p, radii, n_terms)
+        ref_upper, ref_lower = self.one_array(p, radii, n_terms)
+        assert upper.tobytes() == ref_upper.tobytes() and lower.tobytes() == ref_lower.tobytes()
 
 
 class TestEnvelopeCheck:

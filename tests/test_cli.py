@@ -290,6 +290,14 @@ class TestClosedStdout:
         assert main_with_closed_stdout(["check", "--in", failing_doc]) == (1, b"")
 
 
+def test_cold_import_leaves_numpy_fft_unloaded():
+    # ring sampling reaches numpy.fft at call time, so a CLI start does not load pocketfft
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import harmonicdisk.cli, sys; sys.exit('numpy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 class TestLibraryDefaults:
     """An omitted flag gives the library's default."""
 

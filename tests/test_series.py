@@ -6,9 +6,9 @@ from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries
 from harmonicdisk.membership import apply_operator
-from harmonicdisk.series import eval_many
+from harmonicdisk.series import _EDGE_SLACK, eval_many, eval_rings
 
-from helpers import random_series
+from helpers import EPS, circle_points, ring_rounding_bound, random_series
 
 finite_coeff = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(finite_coeff, min_size=2, max_size=12)
@@ -99,6 +99,63 @@ class TestHornerKernel:
             d1, d2, d3 = (npoly.polyval(z, h.derivative(k).coeffs) for k in (1, 2, 3))
             ref = p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
             assert _same_bits(apply_operator(h, p, complex(z)), complex(ref))
+
+
+class TestEvalRings:
+    """Ring values by folded DFT agree with Horner on the same points to rounding."""
+
+    N_ANGLES = 64
+
+    @staticmethod
+    def _assert_close(s, radii, n, points):
+        out = eval_rings(s, radii, n)
+        assert out.shape == (len(radii), n)
+        tol = ring_rounding_bound(s, radii, n)[:, None]
+        assert np.all(np.abs(out - eval_many(s, points)) <= tol)
+
+    @pytest.mark.parametrize("order", [0, 1, 16, N_ANGLES - 1, N_ANGLES, N_ANGLES + 1, 3 * N_ANGLES + 5])
+    def test_matches_horner_across_fold_boundaries(self, order):
+        s = random_series(np.random.default_rng(order), order)
+        # the rings are the grid's points, radius-major
+        grid = PolarGrid(max_radius=0.95, n_radii=7, n_angles=self.N_ANGLES)
+        self._assert_close(s, grid.radii(), self.N_ANGLES, grid.points())
+        n = 4 * self.N_ANGLES
+        self._assert_close(s, [0.8], n, circle_points(0.8, n)[None, :])
+
+    @pytest.mark.parametrize("order", [0, 16, 3 * N_ANGLES + 5])
+    def test_radius_zero_gives_the_constant_term(self, order):
+        s = random_series(np.random.default_rng(order), order)
+        out = eval_rings(s, [0.0], self.N_ANGLES)
+        np.testing.assert_allclose(out, s.coeffs[0], rtol=0, atol=4 * EPS * abs(s.coeffs[0]))
+
+    def test_underflowing_and_unit_radii(self):
+        s = random_series(np.random.default_rng(5), 600)
+        assert 1e-3**600 == 0.0
+        radii = np.array([0.0, 1e-3, 0.5, 1.0])
+        points = np.stack([circle_points(r, self.N_ANGLES) for r in radii])
+        self._assert_close(s, radii, self.N_ANGLES, points)
+
+    def test_unit_roots_of_the_identity(self):
+        out = eval_rings(TruncatedSeries([0, 1]), [1.0], 8)[0]
+        np.testing.assert_allclose(out, np.exp(2j * np.pi * np.arange(8) / 8), atol=1e-15)
+
+    def test_no_rings(self):
+        assert eval_rings(TruncatedSeries([0, 1]), [], 16).shape == (0, 16)
+
+    @pytest.mark.parametrize(
+        "radii", [[0.5, float("nan")], [1.0 + 10 * _EDGE_SLACK], [float("inf")], [-0.5], [[0.5]]]
+    )
+    def test_rejects_bad_radii(self, radii):
+        with pytest.raises(DomainError):
+            eval_rings(TruncatedSeries([0, 1]), radii, 16)
+
+    def test_admits_edge_slack(self):
+        out = eval_rings(TruncatedSeries([0, 1]), [1.0 + _EDGE_SLACK], 16)
+        assert np.all(np.isfinite(out))
+
+    def test_rejects_no_angles(self):
+        with pytest.raises(DomainError):
+            eval_rings(TruncatedSeries([0, 1]), [0.5], 0)
 
 
 class TestDerivative:
