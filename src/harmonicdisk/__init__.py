@@ -47,6 +47,7 @@ from .membership import (
     half_plane_check,
     membership_sampled,
     membership_sufficient,
+    operator_coeffs,
     slice_membership_sampled,
 )
 from .radii import (
@@ -111,6 +112,7 @@ __all__ = [
     "membership_sampled",
     "membership_sufficient",
     "numeric_radius_oracle",
+    "operator_coeffs",
     "radius_fully_convex",
     "radius_fully_starlike",
     "random_member",

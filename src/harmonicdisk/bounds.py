@@ -9,9 +9,11 @@ and |f(z)| is pinched between two explicit series in |z| that share one
 term sequence: the upper envelope sums it, the lower one alternates its
 signs.  ``_envelope`` builds those terms once for an array of radii; a
 per-radius bound (``growth_upper``, ``growth_lower``) is its one-row case, so
-it equals the row that ``growth_envelope_check`` uses at that radius.  Bounds
-are necessary conditions, so a violation disproves membership; reports
-therefore record slacks instead of raising.
+it equals the row that ``growth_envelope_check`` uses at that radius.  The
+check samples |f| ring by ring with :func:`~harmonicdisk.series.eval_rings`
+(one FFT per ring for s and one for t), so its values agree with a Horner
+evaluation to rounding.  Bounds are necessary conditions, so a violation
+disproves membership; reports therefore record slacks instead of raising.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .maps import ClassParams, HarmonicMap, evaluate_map_many
+from .maps import ClassParams, HarmonicMap
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import DEFAULT_ORDER
+from .series import DEFAULT_ORDER, _radius_powers, eval_rings
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     cols = max(4096, 2**16 // len(radii))
     for m0 in range(2, n_terms + 1, cols):
         m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
-        terms = scale * radii[:, None] ** m / p.coefficient_weight(m)
+        terms = scale * _radius_powers(radii, m) / p.coefficient_weight(m)
         signs = np.where(m % 2 == 0, -1.0, 1.0)
         upper += np.sum(terms, axis=-1)
         lower += np.sum(signs * terms, axis=-1)
@@ -159,8 +161,8 @@ def growth_envelope_check(
     disproves membership.
     """
     grid = grid or PolarGrid()
-    upper, upper_tail, lower, lower_tail = _envelope(p, grid.radii(), n_terms)
-    pts = grid.points()
-    absf = np.abs(evaluate_map_many(f, pts))
+    radii = grid.radii()
+    upper, upper_tail, lower, lower_tail = _envelope(p, radii, n_terms)
+    absf = np.abs(eval_rings(f.s, radii, grid.n_angles) + np.conj(eval_rings(f.t, radii, grid.n_angles)))
     margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
-    return verdict_from_margins(margins, pts, grid.describe())
+    return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())

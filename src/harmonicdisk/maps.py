@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_many, eval_rings
+from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_rings
 
 #: A holding sense-preservation verdict with margin below this is flagged
 #: near-degenerate: extremal maps attain equality only as |z| -> 1, so
@@ -112,11 +112,6 @@ class HarmonicMap:
         return TruncatedSeries(self.s.pad_to(n).coeffs + eps * self.t.pad_to(n).coeffs)
 
 
-def evaluate_map_many(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
-    """Vectorized ``s(z) + conj(t(z))`` on an array of disk points."""
-    return eval_many(f.s, z) + np.conj(eval_many(f.t, z))
-
-
 def identity_map(order: int = 1) -> HarmonicMap:
     """The map f(z) = z, padded to the requested order."""
     return HarmonicMap(TruncatedSeries.identity(order), TruncatedSeries.zero(max(order, 1)))
@@ -167,5 +162,5 @@ def sense_preserving_check(f: HarmonicMap, grid: PolarGrid | None = None) -> Mem
     sp = eval_rings(f.s.derivative(), radii, grid.n_angles)
     tp = eval_rings(f.t.derivative(), radii, grid.n_angles)
     margins = np.abs(sp) - np.abs(tp)
-    v = verdict_from_margins(margins, grid.points(), grid.describe())
+    v = verdict_from_margins(margins, (radii, grid.phases()), grid.describe())
     return replace(v, near_degenerate=v.holds and v.margin < NEAR_DEGENERATE_MARGIN)

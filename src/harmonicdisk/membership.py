@@ -8,6 +8,15 @@ with 0 <= lam < gamma <= delta, reads
 where L h = gamma*h' + delta*z*h'' + ((delta-gamma)/2)*z^2*h'''.  Sampled
 checks evaluate the inequality on a polar grid; a failing verdict exhibits a
 violating point, a holding verdict means "not falsified at this resolution".
+
+L maps z^m to (weight(m)/2)*z^(m-1), with weight the coefficient weight of
+:meth:`ClassParams.coefficient_weight`, so :func:`operator_coeffs` applies it
+with one multiply per coefficient.  The slice and analytic checks sample
+every ring of their grid with :func:`~harmonicdisk.series.eval_rings` (one
+FFT per ring).  :func:`membership_sampled` and :func:`apply_operator` still
+evaluate L through the three formal derivatives with the Horner kernel: the
+benchmark's smoke test pins the former's calls, and a test pins the latter
+bit for bit to ``polyval``.
 """
 
 from __future__ import annotations
@@ -28,6 +37,14 @@ def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.nd
     d2 = eval_many(h.derivative(2), z)
     d3 = eval_many(h.derivative(3), z)
     return p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
+
+
+def operator_coeffs(h: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
+    """The series L h: coefficient c_m * weight(m)/2 of h moves to index m - 1."""
+    if h.order == 0:
+        return TruncatedSeries.zero(0)
+    m = np.arange(1.0, h.order + 1)
+    return TruncatedSeries(h.coeffs[1:] * (p.coefficient_weight(m) / 2.0))
 
 
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:
@@ -90,15 +107,16 @@ def slice_membership_sampled(
     if n_eps < 4:
         raise DomainError("slice sampling needs n_eps >= 4")
     grid = grid or PolarGrid()
-    pts = grid.points()
-    ls = _operator_values(f.s, p, pts)
-    lt = _operator_values(f.t, p, pts)
+    radii = grid.radii()
+    ls = eval_rings(operator_coeffs(f.s, p), radii, grid.n_angles)
+    lt = eval_rings(operator_coeffs(f.t, p), radii, grid.n_angles)
     eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
     # one eps at a time, so memory does not grow with n_eps
     margins = np.real(ls + eps[0] * lt) - p.lam
     for e in eps[1:]:
         np.minimum(margins, np.real(ls + e * lt) - p.lam, out=margins)
-    v = verdict_from_margins(margins, pts, f"{n_eps} slice values on {grid.describe()}")
+    description = f"{n_eps} slice values on {grid.describe()}"
+    v = verdict_from_margins(margins, (radii, grid.phases()), description)
     return replace(v, samples=n_eps * margins.size)
 
 
@@ -106,8 +124,9 @@ def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> 
     """Sampled Re F'(z) > 0, the analytic close-to-convexity criterion."""
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    margins = np.real(eval_rings(F.derivative(), grid.radii(), grid.n_angles))
-    return verdict_from_margins(margins, grid.points(), grid.describe())
+    radii = grid.radii()
+    margins = np.real(eval_rings(F.derivative(), radii, grid.n_angles))
+    return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())
 
 
 def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:
@@ -119,6 +138,7 @@ def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> Membe
     """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    ratio = eval_rings(TruncatedSeries(F.coeffs[1:]), grid.radii(), grid.n_angles)
+    radii = grid.radii()
+    ratio = eval_rings(TruncatedSeries(F.coeffs[1:]), radii, grid.n_angles)
     margins = np.real(ratio) - 0.5
-    return verdict_from_margins(margins, grid.points(), grid.describe())
+    return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())

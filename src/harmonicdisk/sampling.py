@@ -41,9 +41,13 @@ class PolarGrid:
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
 
+    def phases(self) -> np.ndarray:
+        """Unit phases ``exp(1j * angles())``; the points are radii times phases."""
+        return np.exp(1j * self.angles())
+
     def points(self) -> np.ndarray:
         """Complex sample points, shape (n_radii, n_angles), radius-major."""
-        return self.radii()[:, None] * np.exp(1j * self.angles())[None, :]
+        return self.radii()[:, None] * self.phases()[None, :]
 
     def describe(self) -> str:
         return f"{self.n_radii}x{self.n_angles} polar grid, max radius {self.max_radius}"
@@ -67,9 +71,14 @@ class MembershipVerdict:
 
 
 def verdict_from_margins(
-    margins: np.ndarray, points: np.ndarray, description: str
+    margins: np.ndarray, points: np.ndarray | tuple[np.ndarray, np.ndarray], description: str
 ) -> MembershipVerdict:
     """Reduce pointwise margins to a verdict.
+
+    *points* holds the sample points in the layout of *margins*, or is the
+    pair ``(radii, phases)`` of a polar grid's axes: the margin at ``[i, j]``
+    then belongs to ``radii[i] * phases[j]``, and only the witness is formed
+    (bitwise equal to ``PolarGrid.points()[i, j]``).
 
     The reduction is deterministic regardless of evaluation order: the
     argmin is taken over the C-order flattening, so ties break on the
@@ -78,7 +87,12 @@ def verdict_from_margins(
     flat = np.ascontiguousarray(np.real(margins)).ravel()
     idx = int(np.argmin(flat))
     margin = float(flat[idx])
-    witness = complex(np.asarray(points).ravel()[idx])
+    if isinstance(points, tuple):
+        radii, phases = points
+        i, j = divmod(idx, len(phases))
+        witness = complex(radii[i] * phases[j])
+    else:
+        witness = complex(np.asarray(points).ravel()[idx])
     holds = margin > 0.0
     if holds:
         evidence = f"not falsified at {description}"

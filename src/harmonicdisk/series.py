@@ -42,8 +42,8 @@ _EDGE_SLACK = 1e-12
 #: Default truncation order for series built by map constructors.
 DEFAULT_ORDER = 64
 
-#: Below 2**-1075 a power r**k rounds to zero; :func:`eval_rings` does not
-#: evaluate powers whose log2 lies below this cut, because numpy's ``pow``
+#: Below 2**-1075 a power r**k rounds to zero; :func:`_radius_powers` does
+#: not evaluate powers whose log2 lies below this cut, because numpy's ``pow``
 #: takes a slow path for underflowing results.
 _UNDERFLOW_LOG2 = -1100.0
 
@@ -226,11 +226,20 @@ def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError(f"rings need at least one angle, got n = {n}")
     c = series.coeffs
-    log2r = np.log2(np.maximum(radii, np.finfo(np.float64).smallest_subnormal))[:, None]
     folded = np.zeros((len(radii), n), dtype=np.complex128)
     for k0 in range(0, len(c), n):
         k = np.arange(k0, min(k0 + n, len(c)), dtype=np.float64)
-        powers = np.zeros((len(radii), len(k)))
-        np.power(radii[:, None], k, out=powers, where=k * log2r > _UNDERFLOW_LOG2)
-        folded[:, : len(k)] += c[k0 : k0 + n] * powers
+        folded[:, : len(k)] += c[k0 : k0 + n] * _radius_powers(radii, k)
     return np.fft.ifft(folded, axis=-1, norm="forward")
+
+
+def _radius_powers(radii: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``radii[:, None] ** k`` for radii in [0, 1], bitwise equal to numpy's ``pow``.
+
+    Entries whose log2 lies below :data:`_UNDERFLOW_LOG2` round to zero, so
+    they are left at 0 instead of being computed.
+    """
+    log2r = np.log2(np.maximum(radii, np.finfo(np.float64).smallest_subnormal))[:, None]
+    powers = np.zeros((len(radii), len(k)))
+    np.power(radii[:, None], k, out=powers, where=k * log2r > _UNDERFLOW_LOG2)
+    return powers

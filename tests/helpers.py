@@ -10,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 
 from harmonicdisk import ClassParams, HarmonicMap, MembershipVerdict, PolarGrid, TruncatedSeries
+from harmonicdisk.bounds import _envelope
 from harmonicdisk.geometry import TURNING_TOL
-from harmonicdisk.maps import evaluate_map_many
 from harmonicdisk.sampling import verdict_from_margins
 from harmonicdisk.series import eval_many
 
@@ -69,8 +69,8 @@ def dense_injective(points: np.ndarray) -> bool:
 # The checks below sample whole circles, so the library computes them with
 # ``series.eval_rings`` (one FFT per ring).  These are the same formulas
 # evaluated point by point with the Horner kernel ``eval_many``, as the
-# library computed them before; tests compare the two within
-# ``ring_rounding_bound``.
+# library computed them before (L through the three formal derivatives);
+# tests compare the two within ``ring_rounding_bound``.
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -99,6 +99,39 @@ def ring_rounding_bound(series: TruncatedSeries, radii, n: int) -> np.ndarray:
     n_terms = len(c)
     fold = math.ceil(n_terms / n) + 4 + 4 * math.log2(n) * math.sqrt(n)
     return EPS * (4 * n_terms * s + 10 * sk + fold * s)
+
+
+def evaluate_map_many(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
+    """``s(z) + conj(t(z))`` on an array of disk points, by Horner."""
+    return eval_many(f.s, z) + np.conj(eval_many(f.t, z))
+
+
+def evaluate_map_many(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
+    """``s(z) + conj(t(z))`` on an array of disk points, by Horner."""
+    return eval_many(f.s, z) + np.conj(eval_many(f.t, z))
+
+
+def operator_values_horner(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
+    """gamma h' + delta z h'' + ((delta-gamma)/2) z^2 h''' at the points z, by Horner."""
+    d1, d2, d3 = (eval_many(h.derivative(k), z) for k in (1, 2, 3))
+    return p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
+
+
+def slice_membership_horner(f: HarmonicMap, p: ClassParams, n_eps: int, grid: PolarGrid) -> MembershipVerdict:
+    pts = grid.points()
+    ls, lt = operator_values_horner(f.s, p, pts), operator_values_horner(f.t, p, pts)
+    eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
+    margins = np.min(np.real(ls[None] + eps[:, None, None] * lt[None]), axis=0) - p.lam
+    v = verdict_from_margins(margins, pts, grid.describe())
+    return replace(v, samples=n_eps * margins.size)
+
+
+def growth_envelope_horner(f: HarmonicMap, p: ClassParams, grid: PolarGrid, n_terms: int) -> MembershipVerdict:
+    upper, upper_tail, lower, lower_tail = _envelope(p, grid.radii(), n_terms)
+    pts = grid.points()
+    absf = np.abs(evaluate_map_many(f, pts))
+    margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
+    return verdict_from_margins(margins, pts, grid.describe())
 
 
 def sense_preserving_horner(f: HarmonicMap, grid: PolarGrid) -> MembershipVerdict:

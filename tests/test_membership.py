@@ -18,13 +18,14 @@ from harmonicdisk import (
     make_extremal_single,
     membership_sampled,
     membership_sufficient,
+    operator_coeffs,
     slice_membership_sampled,
 )
 from harmonicdisk.closure import random_member
-from harmonicdisk.membership import _operator_values
 from harmonicdisk.sampling import verdict_from_margins
+from harmonicdisk.series import eval_rings
 
-from helpers import mixed_order_map, random_params, random_series
+from helpers import EPS, mixed_order_map, random_params, random_series
 
 P110 = ClassParams(1, 1, 0)
 
@@ -81,6 +82,50 @@ class TestApplyOperator:
     def test_rejects_outside_disk(self):
         with pytest.raises(DomainError):
             apply_operator(TruncatedSeries([0, 1]), P110, 1.2)
+
+
+class TestOperatorCoeffs:
+    """L as one coefficient multiplier: L z^m = (weight(m)/2) z^(m-1)."""
+
+    @pytest.mark.parametrize("p", [P110, ClassParams(1, 3, 0), ClassParams(0.7, 1.3, 0.1)])
+    def test_monomials(self, p):
+        for m in range(13):
+            got = operator_coeffs(TruncatedSeries.monomial(m), p).coeffs
+            expected = np.zeros(max(m, 1), dtype=complex)
+            if m >= 1:
+                expected[m - 1] = p.coefficient_weight(m) / 2
+            assert got.tobytes() == expected.tobytes(), m
+
+    def test_constant_and_order_one(self):
+        p = ClassParams(0.7, 1.3, 0.1)
+        assert operator_coeffs(TruncatedSeries([3 - 2j]), p).coeffs.tolist() == [0j]
+        # L(a + b z) = gamma * b
+        assert operator_coeffs(TruncatedSeries([3 - 2j, 0.5 + 1j]), p).coeffs.tolist() == [0.7 * (0.5 + 1j)]
+
+    def test_linearity(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            p = random_params(rng)
+            h1, h2 = random_series(rng, 40), random_series(rng, 40)
+            alpha = complex(rng.standard_normal(), rng.standard_normal())
+            lhs = operator_coeffs(TruncatedSeries(alpha * h1.coeffs + h2.coeffs), p).coeffs
+            a, b = operator_coeffs(h1, p).coeffs, operator_coeffs(h2, p).coeffs
+            # each side rounds alpha*c, the sum and the weight product: a few ulp of the terms
+            assert np.all(np.abs(lhs - (alpha * a + b)) <= 8 * EPS * (np.abs(alpha * a) + np.abs(b)))
+
+    @pytest.mark.parametrize("order", [2, 3, 16, 97, 600])
+    def test_values_match_apply_operator(self, order):
+        rng = np.random.default_rng(300 + order)
+        p = random_params(rng)
+        h = random_series(rng, order)
+        lh = operator_coeffs(h, p)
+        for z in (0.0, 0.4 - 0.3j, 0.95 * np.exp(0.6j), -0.99):
+            # both are Horner passes over the same terms (w_m/2) c_m z^(m-1):
+            # 4(N+1) eps S each (Higham 5.1), plus a few roundings per term for
+            # the weights and the three-derivative combination
+            s = float(np.sum(np.abs(lh.coeffs) * abs(z) ** np.arange(order)))
+            bound = (8 * (order + 1) + 16) * EPS * s
+            assert abs(lh.evaluate(z) - apply_operator(h, p, z)) <= bound
 
 
 class TestSufficientCondition:
@@ -159,7 +204,11 @@ class TestSliceMembership:
         assert not v.holds
 
     def test_equals_stacked_reference(self):
-        """Margin, witness and samples equal the minimum over the full (eps, radius, angle) stack."""
+        """Margin, witness and samples equal the minimum over the full (eps, radius, angle) stack.
+
+        The stack is built from the same ring values of L s and L t, and its
+        witness from the full ``grid.points()`` array.
+        """
         rng = np.random.default_rng(41)
         for k in range(40):
             p = random_params(rng)
@@ -174,7 +223,7 @@ class TestSliceMembership:
             n_eps = int(rng.integers(4, 40))
             pts = grid.points()
             eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
-            ls, lt = _operator_values(f.s, p, pts), _operator_values(f.t, p, pts)
+            ls, lt = (eval_rings(operator_coeffs(h, p), grid.radii(), grid.n_angles) for h in (f.s, f.t))
             stacked = np.real(ls[None, :, :] + eps[:, None, None] * lt[None, :, :]) - p.lam
             ref = verdict_from_margins(stacked.min(axis=0), pts, "")
             v = slice_membership_sampled(f, p, n_eps=n_eps, grid=grid)

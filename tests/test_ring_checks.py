@@ -1,7 +1,8 @@
 """The ring-sampled checks against Horner references of their formulas.
 
-The sense, close-to-convex and half-plane checks and the circle tests sample
-whole circles, so the library evaluates them with ``series.eval_rings``.
+The sense, close-to-convex, half-plane, slice and growth-envelope checks and
+the circle tests sample whole circles, so the library evaluates them with
+``series.eval_rings``.
 Each must give the verdict of the point-by-point Horner formula in
 ``helpers``, with a margin within the propagated rounding bound
 ``helpers.ring_rounding_bound``.
@@ -17,14 +18,18 @@ from harmonicdisk import (
     circle_image,
     close_to_convex_check,
     convex_on_circle,
+    growth_envelope_check,
     half_plane_check,
     make_extremal_full,
     numeric_radius_oracle,
+    operator_coeffs,
     sense_preserving_check,
+    slice_membership_sampled,
     starlike_on_circle,
 )
 from harmonicdisk import geometry
 from harmonicdisk.closure import random_member
+from harmonicdisk.sampling import verdict_from_margins
 
 import helpers
 from helpers import EPS, random_params, ring_rounding_bound
@@ -33,7 +38,7 @@ GRID = PolarGrid(max_radius=0.95, n_radii=24, n_angles=96)
 
 
 def _maps():
-    """Random members, scaled violators and full extremals of orders 16 to 512."""
+    """(params, map): random members, scaled violators and full extremals of orders 16 to 512."""
     rng = np.random.default_rng(20261018)
     out = []
     for k, order in enumerate((16, 16, 16, 64, 64, 512, 512, 16, 64, 512)):
@@ -49,12 +54,15 @@ def _maps():
             s[2:] *= scale
             t[2:] *= scale
             f = HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
-        out.append(f)
-    out += [make_extremal_full(random_params(rng), order) for order in (16, 128, 512)]
+        out.append((p, f))
+    for order in (16, 128, 512):
+        p = random_params(rng)
+        out.append((p, make_extremal_full(p, order)))
     return out
 
 
-MAPS = _maps()
+PARAMS, MAPS = zip(*_maps())
+VIOLATORS = (7, 8, 9)
 
 
 def _radial(h: TruncatedSeries) -> TruncatedSeries:
@@ -85,6 +93,27 @@ class TestGridChecks:
         _assert_same_verdict(close_to_convex_check(F, GRID), helpers.close_to_convex_horner(F, GRID), bound)
         bound = float(np.max(ring_rounding_bound(TruncatedSeries(F.coeffs[1:]), radii, 96)))
         _assert_same_verdict(half_plane_check(F, GRID), helpers.half_plane_horner(F, GRID), bound)
+
+
+@pytest.mark.parametrize("k", range(len(MAPS)))
+class TestSlicesAndEnvelope:
+    @pytest.mark.parametrize("n_eps", [4, 16])
+    def test_slice_membership(self, k, n_eps):
+        p, f = PARAMS[k], MAPS[k]
+        v, ref = slice_membership_sampled(f, p, n_eps, GRID), helpers.slice_membership_horner(f, p, n_eps, GRID)
+        radii = GRID.radii()
+        bound = ring_rounding_bound(operator_coeffs(f.s, p), radii, 96) + ring_rounding_bound(operator_coeffs(f.t, p), radii, 96)
+        _assert_same_verdict(v, ref, float(np.max(bound)))
+        if k in VIOLATORS:
+            assert not v.holds
+
+    @pytest.mark.parametrize("n_terms", [16, 600])
+    def test_growth_envelope(self, k, n_terms):
+        p, f = PARAMS[k], MAPS[k]
+        v, ref = growth_envelope_check(f, p, GRID, n_terms), helpers.growth_envelope_horner(f, p, GRID, n_terms)
+        radii = GRID.radii()
+        bound = ring_rounding_bound(f.s, radii, 96) + ring_rounding_bound(f.t, radii, 96)
+        _assert_same_verdict(v, ref, float(np.max(bound)))
 
 
 @pytest.mark.parametrize("r", [0.3, 0.75, 0.95])
@@ -136,3 +165,27 @@ def test_oracle_radii_are_identical(prop, monkeypatch):
     horner = [numeric_radius_oracle(f, prop, n_theta=512) for f in maps]
     assert [rep.radius for rep in ring] == [rep.radius for rep in horner]
     assert [(rep.bracket, rep.iterations) for rep in ring] == [(rep.bracket, rep.iterations) for rep in horner]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GRID,
+        PolarGrid(max_radius=0.9, n_radii=24, n_angles=96),
+        PolarGrid(max_radius=0.99, n_radii=1, n_angles=4),
+        PolarGrid(max_radius=0.37, n_radii=7, n_angles=333),
+        PolarGrid(max_radius=0.95, n_radii=96, n_angles=384),
+    ],
+)
+def test_witness_from_the_axes_is_the_grid_point(grid):
+    """Each grid check forms its witness as radii[i] * phases[j]: bitwise the grid point."""
+    pts = grid.points()
+    radii, phases = grid.radii(), grid.phases()
+    formed = [repr(complex(r * ph)) for r in radii for ph in phases]
+    assert formed == [repr(complex(z)) for z in pts.ravel()]
+    rng = np.random.default_rng(grid.n_angles)
+    for idx in rng.integers(0, pts.size, 20):
+        margins = np.ones(pts.shape)
+        margins.flat[idx] = -1.0
+        v = verdict_from_margins(margins, (radii, phases), "")
+        assert repr(v.witness) == repr(verdict_from_margins(margins, pts, "").witness)
