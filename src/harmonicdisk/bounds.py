@@ -10,10 +10,10 @@ term sequence: the upper envelope sums it, the lower one alternates its
 signs.  ``_envelope`` builds those terms once for an array of radii; a
 per-radius bound (``growth_upper``, ``growth_lower``) is its one-row case, so
 it equals the row that ``growth_envelope_check`` uses at that radius.  The
-check samples |f| ring by ring with :func:`~harmonicdisk.series.eval_rings`
-(one FFT per ring for s and one for t), so its values agree with a Horner
-evaluation to rounding.  Bounds are necessary conditions, so a violation
-disproves membership; reports therefore record slacks instead of raising.
+check samples |f| ring by ring with ``HarmonicMap.rings`` (one FFT per ring
+for s and one for t), so its values agree with a Horner evaluation to
+rounding.  Bounds are necessary conditions, so a violation disproves
+membership; reports therefore record slacks instead of raising.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_count
 from .maps import ClassParams, HarmonicMap
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import DEFAULT_ORDER, _radius_powers, eval_rings
+from .series import DEFAULT_ORDER, _radius_powers
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     memory stays bounded for any N; a sum that fits one block is one array
     reduction.
     """
-    if n_terms < 2:
+    if _as_count(n_terms, "n_terms") < 2:
         raise DomainError("growth bounds need n_terms >= 2")
     scale = 2.0 * p.coefficient_budget()
     upper = np.zeros_like(radii)
@@ -163,6 +163,6 @@ def growth_envelope_check(
     grid = grid or PolarGrid()
     radii = grid.radii()
     upper, upper_tail, lower, lower_tail = _envelope(p, radii, n_terms)
-    absf = np.abs(eval_rings(f.s, radii, grid.n_angles) + np.conj(eval_rings(f.t, radii, grid.n_angles)))
+    absf = np.abs(f.rings(radii, grid.n_angles))
     margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
     return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())

@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared across the package."""
 
+import operator
+
 
 class HarmonicDiskError(Exception):
     """Base class for all package-specific errors."""
@@ -27,3 +29,11 @@ class DegenerateCurveError(HarmonicDiskError, RuntimeError):
 
 class InternalConsistencyError(HarmonicDiskError, RuntimeError):
     """A mathematically guaranteed precondition failed to hold numerically."""
+
+
+def _as_count(value, name: str) -> int:
+    """*value* as an int by ``operator.index`` (numpy integers pass; 96.0, NaN do not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

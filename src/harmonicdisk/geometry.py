@@ -6,10 +6,9 @@ starlike (fully convex) when every circle |z| = r < 1 maps one-to-one onto a
 curve bounding a starlike (convex) domain.  These sampled tests are the
 ground truth behind the numeric radius oracle.
 
-Every test samples one circle at n equally spaced angles, and those samples
-are a DFT of the radius-scaled coefficients: the values of s, t, z s' and
-z t' on the circle each come from one :func:`~harmonicdisk.series.eval_rings`
-call instead of an order-N Horner pass per point.
+Every test samples one circle at n equally spaced angles: f and d/dtheta f
+come from ``HarmonicMap.rings`` (one FFT per part, not an order-N Horner pass
+per point), and a witness is the sample point ``r * exp(2j*pi*k/n)``.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCurveError, DomainError
+from .errors import DegenerateCurveError, DomainError, _as_count
 from .maps import HarmonicMap
 from .sampling import MembershipVerdict, verdict_from_margins
-from .series import TruncatedSeries, eval_rings
 
 #: Minimum number of angular samples for any circle computation.
 MIN_CIRCLE_SAMPLES = 64
@@ -41,22 +39,14 @@ TURNING_TOL = 1e-6
 _PAIR_BLOCK = 1 << 18
 
 
-def _check_circle_args(r: float, n: int) -> float:
+def _check_circle_args(r: float, n: int) -> tuple[float, int]:
     r = float(r)
     if not (math.isfinite(r) and 0.0 < r < 1.0):
         raise DomainError(f"circle radius must lie in (0, 1), got {r}")
+    n = _as_count(n, "circle sample count")
     if n < MIN_CIRCLE_SAMPLES:
         raise DomainError(f"need at least {MIN_CIRCLE_SAMPLES} circle samples, got {n}")
-    return r
-
-
-def _circle_points(r: float, n: int) -> np.ndarray:
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _ring(h: TruncatedSeries, r: float, n: int) -> np.ndarray:
-    """Values of h at the points of ``_circle_points(r, n)``."""
-    return eval_rings(h, [r], n)[0]
+    return r, n
 
 
 @dataclass(frozen=True)
@@ -85,34 +75,28 @@ class CirclePolyline:
 
 def circle_image(f: HarmonicMap, r: float, n: int = 256) -> CirclePolyline:
     """Uniform-angle sampling of f on the circle |z| = r."""
-    r = _check_circle_args(r, n)
-    return CirclePolyline(radius=r, points=_ring(f.s, r, n) + np.conj(_ring(f.t, r, n)), n=n)
+    r, n = _check_circle_args(r, n)
+    return CirclePolyline(radius=r, points=f.rings([r], n)[0], n=n)
 
 
-def _circle_rate(f: HarmonicMap, r: float, n: int) -> np.ndarray:
-    """z s'(z) - conj(z t'(z)) on the circle; i times it is d/dtheta of f(r e^{i theta}).
-
-    z h'(z) is the series with coefficients k*c_k, so neither a derivative
-    nor a multiply by z is needed.
-    """
-    zs, zt = (TruncatedSeries(h.coeffs * np.arange(len(h.coeffs))) for h in (f.s, f.t))
-    return _ring(zs, r, n) - np.conj(_ring(zt, r, n))
+def _circle_verdict(margins: np.ndarray, r: float, n: int) -> MembershipVerdict:
+    """Verdict on the n samples of |z| = r; the witness is ``r * exp(2j*pi*k/n)``."""
+    axes = np.array([r]), np.exp(2j * np.pi * np.arange(n) / n)
+    return verdict_from_margins(margins, axes, f"{n} samples on circle r={r}")
 
 
 def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
     """Sampled test that the circle image winds monotonically about the origin.
 
-    The angular rate of arg f(r e^{i theta}) equals
-    Re[(z s'(z) - conj(z t'(z))) / f(z)]; the verdict holds when its sampled
-    minimum is positive.  A zero of f on the circle is an error, not a
-    verdict: the origin is not cleanly enclosed.
+    The angular rate of arg f(r e^{i theta}) equals Im[(d/dtheta f) / f];
+    the verdict holds when its sampled minimum is positive.  A zero of f on
+    the circle is an error, not a verdict: the origin is not cleanly enclosed.
     """
-    r = _check_circle_args(r, n)
+    r, n = _check_circle_args(r, n)
     fv = circle_image(f, r, n).points
     if float(np.min(np.abs(fv))) < _VALUE_FLOOR:
         raise DegenerateCurveError(f"map value vanishes on circle r={r}")
-    margins = np.real(_circle_rate(f, r, n) / fv)
-    return verdict_from_margins(margins, _circle_points(r, n), f"{n} samples on circle r={r}")
+    return _circle_verdict(np.imag(f.rings([r], n, 1)[0] / fv), r, n)
 
 
 def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
@@ -125,8 +109,8 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     number is reported as non-convex with a diagnostic, a vanishing tangent
     is an error.
     """
-    r = _check_circle_args(r, n)
-    tangent = 1j * _circle_rate(f, r, n)
+    r, n = _check_circle_args(r, n)
+    tangent = f.rings([r], n, 1)[0]
     if float(np.min(np.abs(tangent))) < _TANGENT_FLOOR:
         raise DegenerateCurveError(f"tangent vanishes on circle r={r}")
     raw = np.angle(tangent)
@@ -135,7 +119,7 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     total = float(np.sum(steps))
     dtheta = 2.0 * np.pi / n
     rates = (steps + np.roll(steps, 1)) / (2.0 * dtheta)
-    v = verdict_from_margins(rates, _circle_points(r, n), f"{n} samples on circle r={r}")
+    v = _circle_verdict(rates, r, n)
     if abs(total - 2.0 * np.pi) > TURNING_TOL:
         margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
         return replace(
@@ -156,7 +140,6 @@ def injective_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> bool:
     grows as n^2; the reverse straddle is tested only on the pairs whose
     forward straddle holds.  Time is still O(n^2).
     """
-    r = _check_circle_args(r, n)
     return _polyline_is_simple(circle_image(f, r, n).points)
 
 

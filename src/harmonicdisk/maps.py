@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, NormalizationError, _as_count
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
 from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_rings
 
@@ -97,6 +97,19 @@ class HarmonicMap:
         _check_disk(z)
         return complex(_horner(self.s.coeffs, z)) + complex(_horner(self.t.coeffs, z)).conjugate()
 
+    def rings(self, radii, n: int, j: int = 0) -> np.ndarray:
+        """(d/dtheta)^j f at ``radii[i] * exp(2j*pi*k/n)``, j = 0 or 1, by :func:`eval_rings`.
+
+        d/dtheta multiplies the coefficient of z^k by ik in s and in t alike;
+        j = 0 evaluates the stored series as they are.
+        """
+        if j not in (0, 1):
+            raise DomainError(f"ring derivative order must be 0 or 1, got {j}")
+        s, t = self.s, self.t
+        if j == 1:
+            s, t = (TruncatedSeries(h.coeffs * (1j * np.arange(len(h.coeffs)))) for h in (s, t))
+        return eval_rings(s, radii, n) + np.conj(eval_rings(t, radii, n))
+
     def analytic_slice(self, eps: complex) -> TruncatedSeries:
         """The analytic function ``s + eps*t`` for unimodular eps.
 
@@ -122,9 +135,9 @@ def make_extremal_single(p: ClassParams, m: int, order: int | None = None) -> Ha
 
     The coefficient is c = 2*(gamma - lam) / (m^2 * [2*gamma + (delta-gamma)*(m-1)]).
     """
-    if m < 2:
+    if _as_count(m, "extremal index m") < 2:
         raise DomainError("extremal coefficient index must be >= 2")
-    order = max(DEFAULT_ORDER, m) if order is None else order
+    order = max(DEFAULT_ORDER, m) if order is None else _as_count(order, "order")
     if order < m:
         raise DomainError("order must be at least the coefficient index")
     c = p.coefficient_budget() / p.coefficient_weight(m)
@@ -142,7 +155,7 @@ def make_extremal_full(p: ClassParams, order: int = DEFAULT_ORDER) -> HarmonicMa
     series generates the sharp growth envelope, so evaluating this map at real
     positive z reproduces the upper growth bound term for term.
     """
-    if order < 2:
+    if _as_count(order, "order") < 2:
         raise DomainError("full extremal needs order >= 2")
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1] = 1.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
 from .series import TruncatedSeries, eval_many, eval_rings
@@ -92,7 +92,7 @@ def membership_sampled(
     ls = _operator_values(f.s, p, pts)
     lt = _operator_values(f.t, p, pts)
     margins = np.real(ls) - p.lam - np.abs(lt)
-    return verdict_from_margins(margins, pts, grid.describe())
+    return verdict_from_margins(margins, (grid.radii(), grid.phases()), grid.describe())
 
 
 def slice_membership_sampled(
@@ -104,6 +104,7 @@ def slice_membership_sampled(
     sampling is a fidelity knob, not an equivalence: as n_eps grows the
     margin decreases toward the |L t| form of the test.
     """
+    n_eps = _as_count(n_eps, "n_eps")
     if n_eps < 4:
         raise DomainError("slice sampling needs n_eps >= 4")
     grid = grid or PolarGrid()

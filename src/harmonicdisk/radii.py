@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, _as_count
 from .maps import ClassParams, HarmonicMap
 
 _BISECTION_CAP = 200
@@ -176,7 +176,7 @@ def convexity_threshold_lambda(delta: float, n_terms: int = 10000) -> ThresholdR
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 1.0):
         raise DomainError("threshold solve needs delta >= 1")
-    if n_terms < 10:
+    if _as_count(n_terms, "n_terms") < 10:
         raise DomainError("threshold solve needs n_terms >= 10")
     m = np.arange(1, n_terms + 1, dtype=np.float64)
     terms = _threshold_terms(delta, m)

@@ -1,13 +1,13 @@
-"""Polar sampling grids and the verdict record shared by inequality checks."""
+"""Polar sampling grids and the verdict record shared by the ring-sampled checks."""
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_count
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,10 @@ class PolarGrid:
     n_angles: int = 96
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_radius) and 0.0 < self.max_radius < 1.0):
-            raise DomainError(f"grid max_radius must lie in (0, 1), got {self.max_radius}")
+        if not (isinstance(self.max_radius, numbers.Real) and 0.0 < self.max_radius < 1.0):
+            raise DomainError(f"grid max_radius must lie in (0, 1), got {self.max_radius!r}")
+        for name in ("n_radii", "n_angles"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), f"grid {name}"))
         if self.n_radii < 1:
             raise DomainError("grid needs at least one radius")
         if self.n_angles < 4:
@@ -71,14 +73,14 @@ class MembershipVerdict:
 
 
 def verdict_from_margins(
-    margins: np.ndarray, points: np.ndarray | tuple[np.ndarray, np.ndarray], description: str
+    margins: np.ndarray, axes: tuple[np.ndarray, np.ndarray], description: str
 ) -> MembershipVerdict:
-    """Reduce pointwise margins to a verdict.
+    """Reduce margins sampled on rings to a verdict.
 
-    *points* holds the sample points in the layout of *margins*, or is the
-    pair ``(radii, phases)`` of a polar grid's axes: the margin at ``[i, j]``
-    then belongs to ``radii[i] * phases[j]``, and only the witness is formed
-    (bitwise equal to ``PolarGrid.points()[i, j]``).
+    *axes* is the pair ``(radii, phases)``: the margin at ``[i, j]`` belongs
+    to the point ``radii[i] * phases[j]``, and only the witness point is
+    formed (for a polar grid's axes it is bitwise equal to
+    ``PolarGrid.points()[i, j]``).
 
     The reduction is deterministic regardless of evaluation order: the
     argmin is taken over the C-order flattening, so ties break on the
@@ -87,12 +89,9 @@ def verdict_from_margins(
     flat = np.ascontiguousarray(np.real(margins)).ravel()
     idx = int(np.argmin(flat))
     margin = float(flat[idx])
-    if isinstance(points, tuple):
-        radii, phases = points
-        i, j = divmod(idx, len(phases))
-        witness = complex(radii[i] * phases[j])
-    else:
-        witness = complex(np.asarray(points).ravel()[idx])
+    radii, phases = axes
+    i, j = divmod(idx, len(phases))
+    witness = complex(radii[i] * phases[j])
     holds = margin > 0.0
     if holds:
         evidence = f"not falsified at {description}"

@@ -106,15 +106,15 @@ def evaluate_map_many(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
     return eval_many(f.s, z) + np.conj(eval_many(f.t, z))
 
 
-def evaluate_map_many(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
-    """``s(z) + conj(t(z))`` on an array of disk points, by Horner."""
-    return eval_many(f.s, z) + np.conj(eval_many(f.t, z))
-
-
 def operator_values_horner(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
     """gamma h' + delta z h'' + ((delta-gamma)/2) z^2 h''' at the points z, by Horner."""
     d1, d2, d3 = (eval_many(h.derivative(k), z) for k in (1, 2, 3))
     return p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
+
+
+def grid_axes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (radii, phases) axes of a polar grid, the witness form of every verdict."""
+    return grid.radii(), grid.phases()
 
 
 def slice_membership_horner(f: HarmonicMap, p: ClassParams, n_eps: int, grid: PolarGrid) -> MembershipVerdict:
@@ -122,7 +122,7 @@ def slice_membership_horner(f: HarmonicMap, p: ClassParams, n_eps: int, grid: Po
     ls, lt = operator_values_horner(f.s, p, pts), operator_values_horner(f.t, p, pts)
     eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
     margins = np.min(np.real(ls[None] + eps[:, None, None] * lt[None]), axis=0) - p.lam
-    v = verdict_from_margins(margins, pts, grid.describe())
+    v = verdict_from_margins(margins, grid_axes(grid), grid.describe())
     return replace(v, samples=n_eps * margins.size)
 
 
@@ -131,29 +131,34 @@ def growth_envelope_horner(f: HarmonicMap, p: ClassParams, grid: PolarGrid, n_te
     pts = grid.points()
     absf = np.abs(evaluate_map_many(f, pts))
     margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
-    return verdict_from_margins(margins, pts, grid.describe())
+    return verdict_from_margins(margins, grid_axes(grid), grid.describe())
 
 
 def sense_preserving_horner(f: HarmonicMap, grid: PolarGrid) -> MembershipVerdict:
     pts = grid.points()
     sp = eval_many(f.s.derivative(), pts)
     tp = eval_many(f.t.derivative(), pts)
-    return verdict_from_margins(np.abs(sp) - np.abs(tp), pts, grid.describe())
+    return verdict_from_margins(np.abs(sp) - np.abs(tp), grid_axes(grid), grid.describe())
 
 
 def close_to_convex_horner(F: TruncatedSeries, grid: PolarGrid) -> MembershipVerdict:
     pts = grid.points()
-    return verdict_from_margins(np.real(eval_many(F.derivative(), pts)), pts, grid.describe())
+    return verdict_from_margins(np.real(eval_many(F.derivative(), pts)), grid_axes(grid), grid.describe())
 
 
 def half_plane_horner(F: TruncatedSeries, grid: PolarGrid) -> MembershipVerdict:
     pts = grid.points()
     ratio = eval_many(TruncatedSeries(F.coeffs[1:]), pts)
-    return verdict_from_margins(np.real(ratio) - 0.5, pts, grid.describe())
+    return verdict_from_margins(np.real(ratio) - 0.5, grid_axes(grid), grid.describe())
+
+
+def circle_axes(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (radii, phases) axes of the n points on the circle |z| = r."""
+    return np.array([r]), np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def circle_points(r: float, n: int) -> np.ndarray:
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
+    return r * circle_axes(r, n)[1]
 
 
 def circle_image_horner(f: HarmonicMap, r: float, n: int) -> np.ndarray:
@@ -169,7 +174,7 @@ def circle_rate_horner(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
 def starlike_on_circle_horner(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
     z = circle_points(r, n)
     margins = np.real(circle_rate_horner(f, z) / evaluate_map_many(f, z))
-    return verdict_from_margins(margins, z, f"{n} samples on circle r={r}")
+    return verdict_from_margins(margins, circle_axes(r, n), f"{n} samples on circle r={r}")
 
 
 def convex_on_circle_horner(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
@@ -179,7 +184,7 @@ def convex_on_circle_horner(f: HarmonicMap, r: float, n: int = 1024) -> Membersh
     steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
     total = float(np.sum(steps))
     rates = (steps + np.roll(steps, 1)) / (2.0 * (2.0 * np.pi / n))
-    v = verdict_from_margins(rates, z, f"{n} samples on circle r={r}")
+    v = verdict_from_margins(rates, circle_axes(r, n), f"{n} samples on circle r={r}")
     if abs(total - 2.0 * np.pi) > TURNING_TOL:
         margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
         return replace(v, holds=False, margin=margin)

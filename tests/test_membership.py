@@ -207,7 +207,7 @@ class TestSliceMembership:
         """Margin, witness and samples equal the minimum over the full (eps, radius, angle) stack.
 
         The stack is built from the same ring values of L s and L t, and its
-        witness from the full ``grid.points()`` array.
+        witness from the grid's (radii, phases) axes.
         """
         rng = np.random.default_rng(41)
         for k in range(40):
@@ -221,11 +221,10 @@ class TestSliceMembership:
                 n_angles=int(rng.integers(4, 120)),
             )
             n_eps = int(rng.integers(4, 40))
-            pts = grid.points()
             eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
             ls, lt = (eval_rings(operator_coeffs(h, p), grid.radii(), grid.n_angles) for h in (f.s, f.t))
             stacked = np.real(ls[None, :, :] + eps[:, None, None] * lt[None, :, :]) - p.lam
-            ref = verdict_from_margins(stacked.min(axis=0), pts, "")
+            ref = verdict_from_margins(stacked.min(axis=0), (grid.radii(), grid.phases()), "")
             v = slice_membership_sampled(f, p, n_eps=n_eps, grid=grid)
             assert (v.holds, v.margin, v.witness) == (ref.holds, ref.margin, ref.witness)
             assert v.samples == stacked.size

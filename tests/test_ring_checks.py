@@ -2,7 +2,8 @@
 
 The sense, close-to-convex, half-plane, slice and growth-envelope checks and
 the circle tests sample whole circles, so the library evaluates them with
-``series.eval_rings``.
+``series.eval_rings``; the values of f and of d/dtheta f on a circle come
+from ``HarmonicMap.rings``.
 Each must give the verdict of the point-by-point Horner formula in
 ``helpers``, with a margin within the propagated rounding bound
 ``helpers.ring_rounding_bound``.
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from harmonicdisk import (
+    DomainError,
     HarmonicMap,
     PolarGrid,
     TruncatedSeries,
@@ -116,6 +118,39 @@ class TestSlicesAndEnvelope:
         _assert_same_verdict(v, ref, float(np.max(bound)))
 
 
+class TestRings:
+    RADII = [0.2, 0.7, 0.99]
+
+    # s and t orders below, at and above the 64 or 256 angles, so the fold runs
+    @pytest.mark.parametrize("orders", [(16, 16), (64, 64), (300, 300), (300, 5), (5, 300), (64, 65)])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_value_and_rate_match_horner(self, orders, n):
+        f = helpers.mixed_order_map(np.random.default_rng(sum(orders) + n), *orders)
+        values, rates = f.rings(self.RADII, n), f.rings(self.RADII, n, 1)
+        assert values.shape == rates.shape == (len(self.RADII), n)
+        value_bound = ring_rounding_bound(f.s, self.RADII, n) + ring_rounding_bound(f.t, self.RADII, n)
+        rate_bound = ring_rounding_bound(_radial(f.s), self.RADII, n) + ring_rounding_bound(_radial(f.t), self.RADII, n)
+        for i, r in enumerate(self.RADII):
+            ref_rate = 1j * helpers.circle_rate_horner(f, helpers.circle_points(r, n))
+            assert np.all(np.abs(values[i] - helpers.circle_image_horner(f, r, n)) <= value_bound[i])
+            assert np.all(np.abs(rates[i] - ref_rate) <= rate_bound[i])
+
+    @pytest.mark.parametrize("j", [-1, 2, 3])
+    def test_only_value_and_first_derivative(self, j):
+        with pytest.raises(DomainError):
+            MAPS[0].rings([0.5], 64, j)
+
+    @pytest.mark.parametrize("r, n", [(0.3, 64), (0.75, 512), (0.95, 1000), (0.999, 4096)])
+    @pytest.mark.parametrize("test", [starlike_on_circle, convex_on_circle])
+    def test_witness_is_the_sample_point(self, test, r, n):
+        """A circle test's witness is r*exp(2j*pi*k/n) by repr, for the k it lies at."""
+        points = r * np.exp(2j * np.pi * np.arange(n) / n)
+        for f in MAPS[7:10]:
+            w = test(f, r, n).witness
+            k = round(np.angle(w) / (2 * np.pi / n)) % n
+            assert repr(w) == repr(complex(points[k]))
+
+
 @pytest.mark.parametrize("r", [0.3, 0.75, 0.95])
 @pytest.mark.parametrize("k", range(len(MAPS)))
 class TestCircleTests:
@@ -188,4 +223,4 @@ def test_witness_from_the_axes_is_the_grid_point(grid):
         margins = np.ones(pts.shape)
         margins.flat[idx] = -1.0
         v = verdict_from_margins(margins, (radii, phases), "")
-        assert repr(v.witness) == repr(verdict_from_margins(margins, pts, "").witness)
+        assert repr(v.witness) == repr(complex(pts.flat[idx]))
