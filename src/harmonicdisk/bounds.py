@@ -91,10 +91,11 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
     (radius, m) blocks of at least 4096 columns and about 2^16 terms, so
     memory stays bounded for any N; a sum that fits one block is one array
-    reduction.
+    reduction.  The terms decrease in m and r^m underflows to 0, so once a
+    whole block is 0 every later block is too: the sums stop there, and they
+    are still bitwise the N-term sums, while the tails are those of N.
     """
-    if _as_count(n_terms, "n_terms") < 2:
-        raise DomainError("growth bounds need n_terms >= 2")
+    n_terms = _as_count(n_terms, "n_terms", 2)
     scale = 2.0 * p.coefficient_budget()
     upper = np.zeros_like(radii)
     lower = np.zeros_like(radii)
@@ -102,6 +103,8 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     for m0 in range(2, n_terms + 1, cols):
         m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
         terms = scale * _radius_powers(radii, m) / p.coefficient_weight(m)
+        if not terms.any():
+            break
         signs = np.where(m % 2 == 0, -1.0, 1.0)
         upper += np.sum(terms, axis=-1)
         lower += np.sum(signs * terms, axis=-1)

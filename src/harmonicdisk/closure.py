@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .membership import _coefficient_sum
 from .series import TruncatedSeries
@@ -79,8 +79,8 @@ def random_member(
     (0, 1).  This certifies membership by construction, so closure and radius
     properties can be tested without a sampled membership precondition.
     """
-    if order < 2:
-        raise DomainError("random members need order >= 2")
+    order = _as_count(order, "order", 2)
+    max_terms = _as_count(max_terms, "max_terms", 1)
     if u is None:
         u = float(rng.uniform(0.0, 1.0))
     if not 0.0 <= u <= 1.0:

@@ -31,9 +31,17 @@ class InternalConsistencyError(HarmonicDiskError, RuntimeError):
     """A mathematically guaranteed precondition failed to hold numerically."""
 
 
-def _as_count(value, name: str) -> int:
-    """*value* as an int by ``operator.index`` (numpy integers pass; 96.0, NaN do not)."""
+def _as_count(value, name: str, minimum: int = 0) -> int:
+    """*value* as an int of at least *minimum*, or a DomainError naming *name*.
+
+    The conversion is ``operator.index``, so numpy integers pass and 96.0,
+    NaN or a string do not.  Every count in the package (grid sizes, sample
+    counts, orders, indices, term counts) goes through this one rule.
+    """
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {count}")
+    return count

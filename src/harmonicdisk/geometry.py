@@ -43,10 +43,7 @@ def _check_circle_args(r: float, n: int) -> tuple[float, int]:
     r = float(r)
     if not (math.isfinite(r) and 0.0 < r < 1.0):
         raise DomainError(f"circle radius must lie in (0, 1), got {r}")
-    n = _as_count(n, "circle sample count")
-    if n < MIN_CIRCLE_SAMPLES:
-        raise DomainError(f"need at least {MIN_CIRCLE_SAMPLES} circle samples, got {n}")
-    return r, n
+    return r, _as_count(n, "circle sample count", MIN_CIRCLE_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,7 @@ class CirclePolyline:
     n: int
 
     def __post_init__(self):
-        if self.n < MIN_CIRCLE_SAMPLES:
-            raise DomainError(f"polyline needs n >= {MIN_CIRCLE_SAMPLES}")
+        object.__setattr__(self, "n", _as_count(self.n, "polyline n", MIN_CIRCLE_SAMPLES))
         pts = np.asarray(self.points, dtype=np.complex128)
         if pts.shape != (self.n,):
             raise DomainError("polyline points must be a length-n complex vector")

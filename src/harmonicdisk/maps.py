@@ -103,7 +103,7 @@ class HarmonicMap:
         d/dtheta multiplies the coefficient of z^k by ik in s and in t alike;
         j = 0 evaluates the stored series as they are.
         """
-        if j not in (0, 1):
+        if _as_count(j, "ring derivative order") > 1:
             raise DomainError(f"ring derivative order must be 0 or 1, got {j}")
         s, t = self.s, self.t
         if j == 1:
@@ -127,7 +127,7 @@ class HarmonicMap:
 
 def identity_map(order: int = 1) -> HarmonicMap:
     """The map f(z) = z, padded to the requested order."""
-    return HarmonicMap(TruncatedSeries.identity(order), TruncatedSeries.zero(max(order, 1)))
+    return HarmonicMap(TruncatedSeries.identity(order), TruncatedSeries.zero(order))
 
 
 def make_extremal_single(p: ClassParams, m: int, order: int | None = None) -> HarmonicMap:
@@ -135,11 +135,8 @@ def make_extremal_single(p: ClassParams, m: int, order: int | None = None) -> Ha
 
     The coefficient is c = 2*(gamma - lam) / (m^2 * [2*gamma + (delta-gamma)*(m-1)]).
     """
-    if _as_count(m, "extremal index m") < 2:
-        raise DomainError("extremal coefficient index must be >= 2")
-    order = max(DEFAULT_ORDER, m) if order is None else _as_count(order, "order")
-    if order < m:
-        raise DomainError("order must be at least the coefficient index")
+    m = _as_count(m, "extremal index m", 2)
+    order = max(DEFAULT_ORDER, m) if order is None else _as_count(order, "order", m)
     c = p.coefficient_budget() / p.coefficient_weight(m)
     return HarmonicMap(
         TruncatedSeries.identity(order),
@@ -155,8 +152,7 @@ def make_extremal_full(p: ClassParams, order: int = DEFAULT_ORDER) -> HarmonicMa
     series generates the sharp growth envelope, so evaluating this map at real
     positive z reproduces the upper growth bound term for term.
     """
-    if _as_count(order, "order") < 2:
-        raise DomainError("full extremal needs order >= 2")
+    order = _as_count(order, "order", 2)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1] = 1.0
     coeffs[2:] = 2.0 * p.coefficient_budget() / p.coefficient_weight(np.arange(2, order + 1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, _as_count
+from .errors import _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
 from .series import TruncatedSeries, eval_many, eval_rings
@@ -104,9 +104,7 @@ def slice_membership_sampled(
     sampling is a fidelity knob, not an equivalence: as n_eps grows the
     margin decreases toward the |L t| form of the test.
     """
-    n_eps = _as_count(n_eps, "n_eps")
-    if n_eps < 4:
-        raise DomainError("slice sampling needs n_eps >= 4")
+    n_eps = _as_count(n_eps, "n_eps", 4)
     grid = grid or PolarGrid()
     radii = grid.radii()
     ls = eval_rings(operator_coeffs(f.s, p), radii, grid.n_angles)

@@ -12,6 +12,7 @@ geometry tests for concrete members.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,11 @@ class RadiusReport:
     note: str = ""
 
 
+def _check_tol(tol) -> None:
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be a finite positive real, got {tol!r}")
+
+
 def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
     """Bisection on (0, 1) for a strictly decreasing polynomial.
 
@@ -85,8 +91,7 @@ def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
     (or the iteration cap / machine resolution), so the reported root
     satisfies |radius - root| <= tol/2 and |poly(radius)| <= tol.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    _check_tol(tol)
     lo, hi = 0.0, 1.0
     flo, fhi = poly(lo), poly(hi)
     if not (flo > 0.0 and fhi < 0.0):
@@ -176,8 +181,7 @@ def convexity_threshold_lambda(delta: float, n_terms: int = 10000) -> ThresholdR
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 1.0):
         raise DomainError("threshold solve needs delta >= 1")
-    if _as_count(n_terms, "n_terms") < 10:
-        raise DomainError("threshold solve needs n_terms >= 10")
+    n_terms = _as_count(n_terms, "n_terms", 10)
     m = np.arange(1, n_terms + 1, dtype=np.float64)
     terms = _threshold_terms(delta, m)
     window = slice(n_terms // 2 - 1, n_terms)
@@ -231,8 +235,7 @@ def numeric_radius_oracle(
         test = geometry.convex_on_circle
     else:
         raise DomainError(f"unknown circle property {prop!r} (want 'starlike' or 'convex')")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    _check_tol(tol)
 
     v_lo = test(f, _ORACLE_MIN, n_theta)
     if not v_lo.holds:

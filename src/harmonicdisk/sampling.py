@@ -27,12 +27,8 @@ class PolarGrid:
     def __post_init__(self):
         if not (isinstance(self.max_radius, numbers.Real) and 0.0 < self.max_radius < 1.0):
             raise DomainError(f"grid max_radius must lie in (0, 1), got {self.max_radius!r}")
-        for name in ("n_radii", "n_angles"):
-            object.__setattr__(self, name, _as_count(getattr(self, name), f"grid {name}"))
-        if self.n_radii < 1:
-            raise DomainError("grid needs at least one radius")
-        if self.n_angles < 4:
-            raise DomainError("grid needs at least four angles")
+        for name, minimum in (("n_radii", 1), ("n_angles", 4)):
+            object.__setattr__(self, name, _as_count(getattr(self, name), f"grid {name}", minimum))
 
     def radii(self) -> np.ndarray:
         """Ascending radii in (0, max_radius]."""

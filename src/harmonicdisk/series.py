@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_count
 
 #: Absolute tolerance for series-level equality checks.  Double-precision
 #: Horner error on |z| <= 1 with order <= 256 stays far below this.
@@ -87,27 +87,18 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int = 1) -> "TruncatedSeries":
         """The zero series at the given order."""
-        if order < 0:
-            raise DomainError("order must be nonnegative")
-        return cls(np.zeros(order + 1, dtype=np.complex128))
+        return cls.monomial(0, 0.0, order)
 
     @classmethod
     def identity(cls, order: int = 1) -> "TruncatedSeries":
         """The series of z itself, optionally padded with zero coefficients."""
-        if order < 1:
-            raise DomainError("identity series needs order >= 1")
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[1] = 1.0
-        return cls(c)
+        return cls.monomial(1, 1.0, order)
 
     @classmethod
     def monomial(cls, m: int, c: complex = 1.0, order: int | None = None) -> "TruncatedSeries":
         """The series ``c * z**m`` stored at the given order (default m)."""
-        if m < 0:
-            raise DomainError("monomial exponent must be nonnegative")
-        order = m if order is None else order
-        if order < m:
-            raise DomainError("order must be at least the monomial exponent")
+        m = _as_count(m, "monomial exponent m")
+        order = m if order is None else _as_count(order, "order", m)
         arr = np.zeros(order + 1, dtype=np.complex128)
         arr[m] = c
         return cls(arr)
@@ -118,8 +109,7 @@ class TruncatedSeries:
 
         This is the identity element of the coefficient-wise product.
         """
-        if order < 1:
-            raise DomainError("geometric series needs order >= 1")
+        order = _as_count(order, "order", 1)
         c = np.ones(order + 1, dtype=np.complex128)
         c[0] = 0.0
         return cls(c)
@@ -132,8 +122,7 @@ class TruncatedSeries:
 
     def coeff(self, m: int) -> complex:
         """Coefficient of ``z**m``; zero beyond the stored order."""
-        if m < 0:
-            raise DomainError("coefficient index must be nonnegative")
+        m = _as_count(m, "coefficient index m")
         return complex(self.coeffs[m]) if m <= self.order else 0j
 
     def pad_to(self, order: int) -> "TruncatedSeries":
@@ -154,7 +143,8 @@ class TruncatedSeries:
 
     def derivative(self, k: int = 1) -> "TruncatedSeries":
         """k-th formal derivative, 0 <= k <= 3.  Order floors at 0."""
-        if not 0 <= k <= MAX_DERIVATIVE:
+        k = _as_count(k, "derivative order")
+        if k > MAX_DERIVATIVE:
             raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE}, got {k}")
         c = self.coeffs
         for _ in range(k):
@@ -223,8 +213,7 @@ def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
     _check_disk(radii)
     if np.any(radii < 0.0):
         raise DomainError("ring radii must be nonnegative")
-    if n < 1:
-        raise DomainError(f"rings need at least one angle, got n = {n}")
+    n = _as_count(n, "ring sample count n", 1)
     c = series.coeffs
     folded = np.zeros((len(radii), n), dtype=np.complex128)
     for k0 in range(0, len(c), n):

@@ -22,7 +22,7 @@ from harmonicdisk import (
 )
 from harmonicdisk.bounds import _envelope
 from harmonicdisk.closure import random_member
-from harmonicdisk.series import eval_rings
+from harmonicdisk.series import _radius_powers, eval_rings
 
 from helpers import mixed_order_map, random_params
 
@@ -234,6 +234,48 @@ class TestEnvelopeBlocks:
         upper, _, lower, _ = _envelope(p, radii, n_terms)
         ref_upper, ref_lower = self.one_array(p, radii, n_terms)
         assert upper.tobytes() == ref_upper.tobytes() and lower.tobytes() == ref_lower.tobytes()
+
+
+class TestEnvelopeStop:
+    """Past the first all-zero block the sums stop, bitwise the N-term sums."""
+
+    @staticmethod
+    def every_block(p, radii, n_terms):
+        """The blocked sums over every block up to N, with no stop."""
+        scale = 2.0 * p.coefficient_budget()
+        upper, lower = np.zeros_like(radii), np.zeros_like(radii)
+        cols = max(4096, 2**16 // len(radii))
+        for m0 in range(2, n_terms + 1, cols):
+            m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
+            terms = scale * _radius_powers(radii, m) / p.coefficient_weight(m)
+            upper += np.sum(terms, axis=-1)
+            lower += np.sum(np.where(m % 2 == 0, -1.0, 1.0) * terms, axis=-1)
+        return radii + upper, radii + lower
+
+    def test_time_does_not_grow_past_the_underflow(self, monkeypatch):
+        calls = []
+
+        def counting(radii, k):
+            calls.append(len(k))
+            return _radius_powers(radii, k)
+
+        monkeypatch.setattr("harmonicdisk.bounds._radius_powers", counting)
+        estimate = growth_upper(P110, 0.5, 10**8)
+        assert len(calls) <= 2
+        assert estimate.n_terms == 10**8 and estimate.tail == 0.0
+
+    @pytest.mark.parametrize(
+        ("radii", "n_terms"),
+        [((0.0,), 300_000), ((0.5,), 200_000), ((0.0, 0.3, 0.6), 70_000), ((0.9,), 150_000)],
+    )
+    def test_stop_is_bitwise_the_sum_of_every_block(self, radii, n_terms):
+        rng = np.random.default_rng(n_terms)
+        radii = np.array(radii)
+        for _ in range(3):
+            p = random_params(rng)
+            upper, _, lower, _ = _envelope(p, radii, n_terms)
+            ref_upper, ref_lower = self.every_block(p, radii, n_terms)
+            assert upper.tobytes() == ref_upper.tobytes() and lower.tobytes() == ref_lower.tobytes()
 
 
 class TestEnvelopeCheck:

@@ -192,3 +192,17 @@ class TestNumericOracle:
     def test_rejects_unknown_property(self):
         with pytest.raises(DomainError):
             numeric_radius_oracle(identity_map(), "roundish")
+
+
+SOLVES = {
+    "convex": lambda tol: radius_fully_convex(P110, tol),
+    "starlike": lambda tol: radius_fully_starlike(P110, tol),
+    "oracle": lambda tol: numeric_radius_oracle(identity_map(2), "convex", tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", ["0.1", None, float("nan"), float("inf"), 0.0, -1e-3], ids=repr)
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+def test_tolerance_must_be_a_finite_positive_real(solve, tol):
+    with pytest.raises(DomainError, match="tolerance must be a finite positive real"):
+        solve(tol)
