@@ -9,12 +9,22 @@ where L h = gamma*h' + delta*z*h'' + ((delta-gamma)/2)*z^2*h'''.  Sampled
 checks evaluate the inequality on a polar grid; a failing verdict exhibits a
 violating point, a holding verdict means "not falsified at this resolution".
 
+Minimum principle: the slice margin Re L(s + eps*t) - lam and the margins
+Re F' and Re F/z - 1/2 of the analytic criteria are harmonic in z, and a
+minimum of finitely many harmonic functions is superharmonic, so on
+|z| <= R each margin attains its minimum on the circle |z| = R.
+:func:`slice_membership_sampled`, :func:`close_to_convex_check` and
+:func:`half_plane_check` therefore sample only the outer ring of their grid,
+which is exactly ``max_radius``.  Those samples are a subset of the grid's,
+so the margin is never below the full grid's, and a failing verdict still
+names a sampled violating point.
+
 L maps z^m to (weight(m)/2)*z^(m-1), with weight the coefficient weight of
 :meth:`ClassParams.coefficient_weight`, so :func:`operator_coeffs` applies it
-with one multiply per coefficient.  The slice and analytic checks sample
-every ring of their grid with :func:`~harmonicdisk.series.eval_rings` (one
-FFT per ring).  :func:`membership_sampled` and :func:`apply_operator` still
-evaluate L through the three formal derivatives with the Horner kernel: the
+with one multiply per coefficient, and the circle is sampled with
+:func:`~harmonicdisk.series.eval_rings` (one FFT).  :func:`membership_sampled`
+still samples every ring of its grid and, like :func:`apply_operator`,
+evaluates L through the three formal derivatives with the Horner kernel: the
 benchmark's smoke test pins the former's calls, and a test pins the latter
 bit for bit to ``polyval``.
 """
@@ -95,6 +105,14 @@ def membership_sampled(
     return verdict_from_margins(margins, (grid.radii(), grid.phases()), grid.describe())
 
 
+def _circle_verdict(margins: np.ndarray, grid: PolarGrid, values: str = "") -> MembershipVerdict:
+    """Verdict of margins sampled on the grid's outer circle ``grid.radii()[-1:]``."""
+    circle = f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)"
+    description = f"{values}{circle}, where the {grid.describe()} has its minimum (minimum principle)"
+    v = verdict_from_margins(margins, (grid.radii()[-1:], grid.phases()), description)
+    return v if v.holds else replace(v, evidence=f"{v.evidence} on {circle}")
+
+
 def slice_membership_sampled(
     f: HarmonicMap, p: ClassParams, n_eps: int = 16, grid: PolarGrid | None = None
 ) -> MembershipVerdict:
@@ -102,42 +120,45 @@ def slice_membership_sampled(
 
     The slice parameters are the n_eps-th roots of unity.  Finite eps
     sampling is a fidelity knob, not an equivalence: as n_eps grows the
-    margin decreases toward the |L t| form of the test.
+    margin decreases toward the |L t| form of the test.  Only the grid's
+    outer circle is sampled (minimum principle, see the module docstring),
+    so ``samples`` is ``n_eps * grid.n_angles``.
     """
     n_eps = _as_count(n_eps, "n_eps", 4)
     grid = grid or PolarGrid()
-    radii = grid.radii()
-    ls = eval_rings(operator_coeffs(f.s, p), radii, grid.n_angles)
-    lt = eval_rings(operator_coeffs(f.t, p), radii, grid.n_angles)
+    ring = grid.radii()[-1:]
+    ls = eval_rings(operator_coeffs(f.s, p), ring, grid.n_angles)
+    lt = eval_rings(operator_coeffs(f.t, p), ring, grid.n_angles)
     eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
     # one eps at a time, so memory does not grow with n_eps
     margins = np.real(ls + eps[0] * lt) - p.lam
     for e in eps[1:]:
         np.minimum(margins, np.real(ls + e * lt) - p.lam, out=margins)
-    description = f"{n_eps} slice values on {grid.describe()}"
-    v = verdict_from_margins(margins, (radii, grid.phases()), description)
+    v = _circle_verdict(margins, grid, f"{n_eps} slice values on ")
     return replace(v, samples=n_eps * margins.size)
 
 
 def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:
-    """Sampled Re F'(z) > 0, the analytic close-to-convexity criterion."""
+    """Sampled Re F'(z) > 0, the analytic close-to-convexity criterion.
+
+    Only the grid's outer circle is sampled (minimum principle, see the
+    module docstring), so ``samples`` is ``grid.n_angles``.
+    """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    radii = grid.radii()
-    margins = np.real(eval_rings(F.derivative(), radii, grid.n_angles))
-    return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())
+    margins = np.real(eval_rings(F.derivative(), grid.radii()[-1:], grid.n_angles))
+    return _circle_verdict(margins, grid)
 
 
 def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:
     """Sampled Re(F(z)/z) > 1/2.
 
     F(z)/z is evaluated as the coefficient-shifted polynomial, so the origin
-    needs no special casing (the shifted value at 0 is F'(0) = 1); grids here
-    exclude 0 anyway.
+    needs no special casing (the shifted value at 0 is F'(0) = 1).  Only the
+    grid's outer circle is sampled (minimum principle, see the module
+    docstring), so ``samples`` is ``grid.n_angles``.
     """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    radii = grid.radii()
-    ratio = eval_rings(TruncatedSeries(F.coeffs[1:]), radii, grid.n_angles)
-    margins = np.real(ratio) - 0.5
-    return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())
+    ratio = eval_rings(TruncatedSeries(F.coeffs[1:]), grid.radii()[-1:], grid.n_angles)
+    return _circle_verdict(np.real(ratio) - 0.5, grid)

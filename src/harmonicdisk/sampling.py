@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, _as_count
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -17,7 +23,9 @@ class PolarGrid:
     Radii are Chebyshev-Lobatto nodes on (0, max_radius] (the zero node is
     dropped, the outermost circle is included); angles are uniform.  The
     clustering of nodes near the outer circle matters because inequality
-    extrema of low-order series occur there.
+    extrema of low-order series occur there.  A grid computes its radii and
+    phases once and hands out the same read-only arrays; they are not
+    fields, so equality, hashing and repr see only the three parameters.
     """
 
     max_radius: float = 0.95
@@ -30,18 +38,26 @@ class PolarGrid:
         for name, minimum in (("n_radii", 1), ("n_angles", 4)):
             object.__setattr__(self, name, _as_count(getattr(self, name), f"grid {name}", minimum))
 
-    def radii(self) -> np.ndarray:
-        """Ascending radii in (0, max_radius]."""
+    @cached_property
+    def _radii(self) -> np.ndarray:
         j = np.arange(self.n_radii)
         nodes = self.max_radius * (1.0 + np.cos(np.pi * j / self.n_radii)) / 2.0
-        return nodes[::-1].copy()
+        return _read_only(nodes[::-1].copy())
+
+    @cached_property
+    def _phases(self) -> np.ndarray:
+        return _read_only(np.exp(1j * self.angles()))
+
+    def radii(self) -> np.ndarray:
+        """Ascending radii in (0, max_radius]; the last is exactly max_radius."""
+        return self._radii
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
 
     def phases(self) -> np.ndarray:
         """Unit phases ``exp(1j * angles())``; the points are radii times phases."""
-        return np.exp(1j * self.angles())
+        return self._phases
 
     def points(self) -> np.ndarray:
         """Complex sample points, shape (n_radii, n_angles), radius-major."""

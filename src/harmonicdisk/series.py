@@ -127,6 +127,7 @@ class TruncatedSeries:
 
     def pad_to(self, order: int) -> "TruncatedSeries":
         """Zero-pad up to *order* (no-op if already at least that long)."""
+        order = _as_count(order, "order")
         if order <= self.order:
             return self
         c = np.zeros(order + 1, dtype=np.complex128)

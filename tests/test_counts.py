@@ -75,6 +75,10 @@ REJECTED = {
     "polyline n 64.0": lambda: CirclePolyline(0.5, PTS, 64.0),
     "random_member order 16.0": lambda: random_member(P, rng(), order=16.0),
     "random_member max_terms 2.5": lambda: random_member(P, rng(), max_terms=2.5),
+    # pad_to(5.5) raised a bare TypeError and pad_to(0.5) returned the series
+    "pad_to order 5.5": lambda: TruncatedSeries.identity(1).pad_to(5.5),
+    "pad_to order 0.5": lambda: TruncatedSeries.identity(1).pad_to(0.5),
+    "pad_to order -1": lambda: TruncatedSeries.identity(1).pad_to(-1),
 }
 
 
@@ -176,6 +180,7 @@ ACCEPTED = {
     "identity_map": lambda n: both_parts(identity_map(n(4))),
     "extremal_single": lambda n: make_extremal_single(P, n(3), order=n(20)).t.coeffs.tolist(),
     "random_member": lambda n: both_parts(random_member(P, rng(), order=n(16), max_terms=n(3))),
+    "pad_to": lambda n: [F.s.pad_to(n(k)).coeffs.tolist() for k in (2, 16, 20)],
 }
 
 

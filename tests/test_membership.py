@@ -195,7 +195,8 @@ class TestSliceMembership:
         direct = membership_sampled(f, P110, grid)
         sliced = slice_membership_sampled(f, P110, n_eps=64, grid=grid)
         assert sliced.margin == pytest.approx(direct.margin, abs=1e-12)
-        assert sliced.samples == 64 * 24 * 96
+        # only the outer circle is sampled: 64 slices of its 96 angles
+        assert sliced.samples == 64 * 96
 
     def test_failing_map_fails_some_slice(self):
         v = slice_membership_sampled(
@@ -204,10 +205,12 @@ class TestSliceMembership:
         assert not v.holds
 
     def test_equals_stacked_reference(self):
-        """Margin, witness and samples equal the minimum over the full (eps, radius, angle) stack.
+        """Margin and witness equal the minimum over the full (eps, radius, angle) stack.
 
         The stack is built from the same ring values of L s and L t, and its
-        witness from the grid's (radii, phases) axes.
+        witness from the grid's (radii, phases) axes.  By the minimum
+        principle its minimum lies on the outer circle, the only one the
+        check samples, so ``samples`` counts the (eps, angle) pairs there.
         """
         rng = np.random.default_rng(41)
         for k in range(40):
@@ -227,7 +230,7 @@ class TestSliceMembership:
             ref = verdict_from_margins(stacked.min(axis=0), (grid.radii(), grid.phases()), "")
             v = slice_membership_sampled(f, p, n_eps=n_eps, grid=grid)
             assert (v.holds, v.margin, v.witness) == (ref.holds, ref.margin, ref.witness)
-            assert v.samples == stacked.size
+            assert v.samples == n_eps * grid.n_angles
 
     def test_memory_does_not_grow_with_slices(self):
         def peak(n_eps):

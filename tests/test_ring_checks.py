@@ -6,7 +6,10 @@ the circle tests sample whole circles, so the library evaluates them with
 from ``HarmonicMap.rings``.
 Each must give the verdict of the point-by-point Horner formula in
 ``helpers``, with a margin within the propagated rounding bound
-``helpers.ring_rounding_bound``.
+``helpers.ring_rounding_bound``.  The close-to-convex, half-plane and slice
+checks sample only the grid's outer circle; their references still sample
+the whole grid, so the comparison checks that the grid's minimum lies on
+that circle (minimum principle).
 """
 
 import numpy as np
@@ -72,10 +75,18 @@ def _radial(h: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(h.coeffs * np.arange(len(h.coeffs)))
 
 
-def _assert_same_verdict(v, ref, bound):
+def _assert_same_verdict(v, ref, bound, samples=None):
     assert v.holds == ref.holds
-    assert v.samples == ref.samples
+    assert v.samples == (ref.samples if samples is None else samples)
     assert abs(v.margin - ref.margin) <= bound
+
+
+def _assert_on_outer_circle(v, k, grid=GRID):
+    """The evidence names the grid's outer circle; a violator's witness is a sample on it."""
+    assert f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)" in v.evidence
+    if k in VIOLATORS:
+        assert repr(v.witness) in {repr(complex(grid.max_radius * ph)) for ph in grid.phases()}
+        assert abs(v.witness) == pytest.approx(grid.max_radius, rel=4 * EPS)
 
 
 @pytest.mark.parametrize("k", range(len(MAPS)))
@@ -92,9 +103,13 @@ class TestGridChecks:
         F = MAPS[k].analytic_slice(eps)
         radii = GRID.radii()
         bound = float(np.max(ring_rounding_bound(F.derivative(), radii, 96)))
-        _assert_same_verdict(close_to_convex_check(F, GRID), helpers.close_to_convex_horner(F, GRID), bound)
+        v = close_to_convex_check(F, GRID)
+        _assert_same_verdict(v, helpers.close_to_convex_horner(F, GRID), bound, samples=96)
+        _assert_on_outer_circle(v, k)
         bound = float(np.max(ring_rounding_bound(TruncatedSeries(F.coeffs[1:]), radii, 96)))
-        _assert_same_verdict(half_plane_check(F, GRID), helpers.half_plane_horner(F, GRID), bound)
+        v = half_plane_check(F, GRID)
+        _assert_same_verdict(v, helpers.half_plane_horner(F, GRID), bound, samples=96)
+        _assert_on_outer_circle(v, k)
 
 
 @pytest.mark.parametrize("k", range(len(MAPS)))
@@ -105,7 +120,8 @@ class TestSlicesAndEnvelope:
         v, ref = slice_membership_sampled(f, p, n_eps, GRID), helpers.slice_membership_horner(f, p, n_eps, GRID)
         radii = GRID.radii()
         bound = ring_rounding_bound(operator_coeffs(f.s, p), radii, 96) + ring_rounding_bound(operator_coeffs(f.t, p), radii, 96)
-        _assert_same_verdict(v, ref, float(np.max(bound)))
+        _assert_same_verdict(v, ref, float(np.max(bound)), samples=n_eps * 96)
+        _assert_on_outer_circle(v, k)
         if k in VIOLATORS:
             assert not v.holds
 
@@ -202,16 +218,16 @@ def test_oracle_radii_are_identical(prop, monkeypatch):
     assert [(rep.bracket, rep.iterations) for rep in ring] == [(rep.bracket, rep.iterations) for rep in horner]
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [
-        GRID,
-        PolarGrid(max_radius=0.9, n_radii=24, n_angles=96),
-        PolarGrid(max_radius=0.99, n_radii=1, n_angles=4),
-        PolarGrid(max_radius=0.37, n_radii=7, n_angles=333),
-        PolarGrid(max_radius=0.95, n_radii=96, n_angles=384),
-    ],
-)
+GRIDS = [
+    GRID,
+    PolarGrid(max_radius=0.9, n_radii=24, n_angles=96),
+    PolarGrid(max_radius=0.99, n_radii=1, n_angles=4),
+    PolarGrid(max_radius=0.37, n_radii=7, n_angles=333),
+    PolarGrid(max_radius=0.95, n_radii=96, n_angles=384),
+]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
 def test_witness_from_the_axes_is_the_grid_point(grid):
     """Each grid check forms its witness as radii[i] * phases[j]: bitwise the grid point."""
     pts = grid.points()
@@ -224,3 +240,25 @@ def test_witness_from_the_axes_is_the_grid_point(grid):
         margins.flat[idx] = -1.0
         v = verdict_from_margins(margins, (radii, phases), "")
         assert repr(v.witness) == repr(complex(pts.flat[idx]))
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_grid_axes_are_computed_once_and_read_only(grid):
+    """radii() and phases() are bitwise the grid formulas, shared and read-only; points() is unchanged."""
+    R, n_r, n_a = grid.max_radius, grid.n_radii, grid.n_angles
+    nodes = R * (1.0 + np.cos(np.pi * np.arange(n_r) / n_r)) / 2.0
+    radii = nodes[::-1].copy()
+    phases = np.exp(1j * (2.0 * np.pi * np.arange(n_a) / n_a))
+    twin = PolarGrid(R, n_r, n_a)
+    for g in (grid, twin):
+        assert g.radii() is g.radii() and g.phases() is g.phases()
+        assert g.radii().tobytes() == radii.tobytes() and g.phases().tobytes() == phases.tobytes()
+        assert g.radii()[-1] == R
+        assert g.points().tobytes() == (radii[:, None] * phases[None, :]).tobytes()
+        for axis in (g.radii(), g.phases()):
+            with pytest.raises(ValueError):
+                axis[0] = 0.5
+    fresh = PolarGrid(R, n_r, n_a)
+    assert grid == twin == fresh
+    assert hash(grid) == hash(twin) == hash(fresh)
+    assert repr(grid) == repr(twin) == repr(fresh) == f"PolarGrid(max_radius={R}, n_radii={n_r}, n_angles={n_a})"
