@@ -34,8 +34,9 @@ _TANGENT_FLOOR = 1e-10
 #: Allowed deviation of the total tangent turning from 2*pi.
 TURNING_TOL = 1e-6
 
-#: Segment pairs per block of the injectivity scan.  Each pair costs a few
-#: dozen bytes of temporaries, so a block stays within a few tens of MB.
+#: Candidate segment pairs expanded at once by the injectivity scan, which
+#: uses max(n, _PAIR_BLOCK).  Each pair costs a few dozen bytes of
+#: temporaries, so a block stays within a few tens of MB for any input.
 _PAIR_BLOCK = 1 << 18
 
 
@@ -130,19 +131,47 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
 def injective_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> bool:
     """True when the sampled circle image has no self-intersections.
 
-    Implemented as the proper-crossing test over all non-adjacent polyline
-    segment pairs (i, j), i < j.  Rows of that upper triangle are scanned in
-    blocks of at most max(n, :data:`_PAIR_BLOCK`) pairs, so memory no longer
-    grows as n^2; the reverse straddle is tested only on the pairs whose
-    forward straddle holds.  Time is still O(n^2).
+    Implemented as the proper-crossing test over the polyline segment pairs
+    whose closed bounding boxes overlap, found by sort and sweep: the
+    interval-overlap broad phase of the any-crossing sweep of Shamos and Hoey
+    ("Geometric intersection problems", FOCS 1976).  A circle image meets a
+    vertical line only a few times, so it has O(n) such pairs and the scan
+    costs O(n log n).  A curve with many strands over the same x-range has
+    O(n^2) of them, and its time is O(n^2); the pairs are expanded in blocks of
+    at most max(n, :data:`_PAIR_BLOCK`), so memory stays bounded either way.
     """
     return _polyline_is_simple(circle_image(f, r, n).points)
 
 
+def _x_overlap_pairs(x0: np.ndarray, x1: np.ndarray):
+    """Yield blocks (i, j), i < j, of the segments whose closed x-extents [x0, x1] overlap.
+
+    x0 must be ascending.  Segment i then overlaps exactly the segments
+    i + 1 .. ends[i] - 1, where ``searchsorted(side="right")`` places x1[i],
+    ties included.  These runs are laid end to end and cut into blocks of at
+    most max(n, _PAIR_BLOCK) pairs, so a run may span two blocks.
+    """
+    n = len(x0)
+    ends = np.searchsorted(x0, x1, side="right")
+    # run i holds the flat pair indices offsets[i] .. offsets[i + 1] - 1, and
+    # index k pairs segment i with segment k + 1 - base[i]
+    offsets = np.concatenate(([0], np.cumsum(ends - np.arange(1, n + 1))))
+    base = offsets[:-1] - np.arange(n)
+    total, block = int(offsets[-1]), max(n, _PAIR_BLOCK)
+    for k0 in range(0, total, block):
+        k1 = min(k0 + block, total)
+        lo, hi = np.searchsorted(offsets, k0, side="right") - 1, np.searchsorted(offsets, k1)
+        i = np.repeat(np.arange(lo, hi), np.diff(np.clip(offsets[lo : hi + 1], k0, k1)))
+        yield i, np.arange(k0 + 1, k1 + 1) - base[i]
+
+
 def _polyline_is_simple(a: np.ndarray) -> bool:
     """True when the closed polyline through the points *a* has no proper crossing."""
-    n = len(a)
     b = np.roll(a, -1)
+    # a proper crossing lies inside both bounding boxes, so the segments are
+    # sorted by smallest x and only pairs whose boxes overlap are tested
+    order = np.argsort(np.minimum(a.real, b.real))
+    a, b = a[order], b[order]
     d = b - a
 
     def straddle(i, j) -> np.ndarray:
@@ -150,19 +179,16 @@ def _polyline_is_simple(a: np.ndarray) -> bool:
 
         q(i, j) < 0 iff the endpoints of segment j lie strictly on both sides
         of the line of segment i; a proper crossing needs straddling both ways.
+        Adjacent segments share an endpoint, so their q is exactly 0.
         """
         u, v, w = d[i], a[j] - a[i], b[j] - a[i]
         return (u.real * v.imag - u.imag * v.real) * (u.real * w.imag - u.imag * w.real)
 
-    rows = max(1, _PAIR_BLOCK // n)
-    for i0 in range(0, n - 2, rows):
-        i = np.arange(i0, min(i0 + rows, n - 2))[:, None]
-        j = np.arange(i0 + 2, n)[None, :]
-        # adjacent segments, (0, n - 1) across the wrap included, share an
-        # endpoint, so their q is exactly 0 and never a candidate; a pair with
-        # j < i in a block is also tested there as (j, i), so it is harmless
-        ii, jj = np.nonzero(straddle(i, j) < 0.0)
-        gi, gj = i[ii, 0], j[0, jj]
-        if np.any(straddle(gj, gi) < 0.0):
+    y0, y1 = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    for i, j in _x_overlap_pairs(np.minimum(a.real, b.real), np.maximum(a.real, b.real)):
+        keep = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+        i, j = i[keep], j[keep]
+        hit = straddle(i, j) < 0.0
+        if np.any(straddle(j[hit], i[hit]) < 0.0):
             return False
     return True

@@ -10,6 +10,7 @@ slices ``s + eps*t``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ class ClassParams:
     def __post_init__(self):
         for name in ("gamma", "delta", "lam"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise DomainError(f"{name} must be a finite real number")
             object.__setattr__(self, name, float(v))
         if self.delta < self.gamma:
@@ -119,7 +120,7 @@ class HarmonicMap:
         checks.
         """
         eps = complex(eps)
-        if abs(abs(eps) - 1.0) > 1e-12:
+        if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails this comparison
             raise DomainError(f"slice parameter must satisfy |eps| = 1, got |eps| = {abs(eps)}")
         n = max(self.s.order, self.t.order)
         return TruncatedSeries(self.s.pad_to(n).coeffs + eps * self.t.pad_to(n).coeffs)

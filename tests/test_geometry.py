@@ -153,8 +153,32 @@ def _looping_map(rng: np.random.Generator) -> HarmonicMap:
     return HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
 
 
+def _zigzag(m: int) -> np.ndarray:
+    """Two vertical zig-zags of m points, the second 0.5 to the right, joined into one simple closed polyline.
+
+    The zig-zag segments span x in [0, 1] and [0.5, 1.5]; for odd m both joins
+    span [0, 0.5], so every pair of segments overlaps in x (some only at the
+    tie x = 0.5): the worst case of the sweep, with n(n - 1)/2 candidates.
+    """
+    up = np.arange(m) % 2 + 1j * np.arange(m)
+    return np.concatenate([up, (up + 0.5)[::-1]])
+
+
+def _record_blocks(monkeypatch) -> list:
+    """Record (size, first i, last i) of every candidate block the scan expands."""
+    blocks, sweep = [], geometry._x_overlap_pairs
+
+    def recording(x0, x1):
+        for i, j in sweep(x0, x1):
+            blocks.append((len(i), i[0], i[-1]))
+            yield i, j
+
+    monkeypatch.setattr(geometry, "_x_overlap_pairs", recording)
+    return blocks
+
+
 class TestBlockedInjectivityScan:
-    """The row-blocked pair scan agrees with the dense n-by-n reference."""
+    """The sort-and-sweep scan, expanded in blocks, agrees with the dense n-by-n reference."""
 
     @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 1009])
     def test_matches_dense_reference(self, block, monkeypatch):
@@ -205,3 +229,69 @@ class TestBlockedInjectivityScan:
         for polyline in (a, a[::-1].copy()):
             assert dense_injective(polyline)
             assert geometry._polyline_is_simple(polyline)
+
+    @pytest.mark.parametrize("block", [1, 1000, 1 << 18])
+    def test_x_overlap_pairs_are_exactly_the_overlapping_pairs(self, block, monkeypatch):
+        # integer extents, so ties between one segment's largest x and
+        # another's smallest x are common, and zero-width (vertical) extents too
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in (1, 2, 5, 64, 300):
+            x0 = np.sort(rng.integers(0, 40, n)).astype(float)
+            x1 = x0 + rng.integers(0, 6, n)
+            got = [(int(i), int(j)) for bi, bj in geometry._x_overlap_pairs(x0, x1) for i, j in zip(bi, bj)]
+            want = [(i, j) for i in range(n) for j in range(i + 1, n) if x0[j] <= x1[i]]
+            assert sorted(got) == want and len(set(got)) == len(got)
+
+    def test_all_overlap_zigzag_with_runs_across_blocks(self, monkeypatch):
+        # blocks of max(n, 1) = n pairs, and every pair overlaps in x, so the
+        # runs of up to n - 1 candidates straddle block boundaries
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 1)
+        a = _zigzag(101)
+        n = len(a)
+        crossed = a.copy()
+        crossed[150] -= 1.5  # a vertex of the right zig-zag moved left across the other
+        blocks = _record_blocks(monkeypatch)
+        for polyline, simple in ((crossed, False), (a, True)):
+            blocks.clear()
+            assert dense_injective(polyline) is simple
+            assert geometry._polyline_is_simple(polyline) is simple
+            assert max(size for size, _, _ in blocks) <= n
+        # the simple one expands every pair, and some runs end one block and
+        # go on in the next
+        assert sum(size for size, _, _ in blocks) == n * (n - 1) // 2
+        assert any(prev[2] == cur[1] for prev, cur in zip(blocks, blocks[1:]))
+
+    def test_vertical_segments_and_repeated_x(self):
+        # lattice walks and polylines on a few x values: many vertical
+        # segments, collinear overlaps, touching vertices and proper crossings
+        rng = np.random.default_rng(41)
+        verdicts = []
+        for trial in range(300):
+            n = int(rng.integers(4, 30))
+            if trial % 2:
+                a = rng.integers(0, 5, n) + 1j * rng.integers(0, 5, n) * rng.integers(0, 2, n)
+            else:
+                a = np.cumsum(rng.choice([1, -1, 1j, -1j], n) * rng.integers(1, 4, n))
+            expected = dense_injective(a)
+            assert geometry._polyline_is_simple(a) == expected, trial
+            verdicts.append(expected)
+        # a skyline polygon is simple; spikes through its base cross it
+        heights = rng.integers(1, 6, 40)
+        top = [(x + 1j * h, x + 1 + 1j * h) for x, h in enumerate(heights)]
+        skyline = np.array([0] + [p for seg in top for p in seg] + [40], dtype=complex)
+        h = 1j * heights[10]
+        spiked = np.concatenate([skyline[:22], [10.25 + h, 10.25 - 1j, 10.75 - 1j, 10.75 + h], skyline[22:]])
+        for polyline, simple in ((skyline, True), (spiked, False)):
+            assert dense_injective(polyline) is simple
+            assert geometry._polyline_is_simple(polyline) is simple
+        assert 40 <= sum(verdicts) <= 260
+
+    def test_all_overlap_blocks_stay_bounded(self, monkeypatch):
+        blocks = _record_blocks(monkeypatch)
+        a = _zigzag(1025)
+        n = len(a)
+        assert n >= 2048
+        assert geometry._polyline_is_simple(a) and dense_injective(a)
+        assert sum(size for size, _, _ in blocks) == n * (n - 1) // 2
+        assert len(blocks) > 1 and max(size for size, _, _ in blocks) <= max(n, geometry._PAIR_BLOCK)

@@ -36,6 +36,17 @@ class TestClassParams:
         with pytest.raises(DomainError):
             ClassParams(gamma=float("nan"), delta=1.0, lam=0.0)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.float32, np.float64])
+    def test_numpy_reals_accepted(self, kind):
+        p = ClassParams(kind(1), kind(2), kind(0))
+        assert p == ClassParams(1.0, 2.0, 0.0)
+        assert all(type(v) is float for v in (p.gamma, p.delta, p.lam))
+
+    @pytest.mark.parametrize("args", [(True, True, False), (1, 2, False), (1, np.True_, 0), (1, 2, 0j), (1, "2", 0)])
+    def test_non_reals_and_bools_rejected(self, args):
+        with pytest.raises(DomainError, match="must be a finite real number"):
+            ClassParams(*args)
+
     @given(
         st.floats(0.25, 2.0),
         st.floats(1.0, 2.0),
@@ -177,6 +188,11 @@ class TestAnalyticSlice:
     def test_rejects_non_unimodular(self):
         with pytest.raises(DomainError):
             identity_map().analytic_slice(0.5)
+
+    @pytest.mark.parametrize("eps", [float("nan"), complex(float("nan"), 1.0), complex(1.0, float("inf"))])
+    def test_rejects_non_finite_as_slice_parameter(self, eps):
+        with pytest.raises(DomainError, match="slice parameter"):
+            identity_map().analytic_slice(eps)
 
     def test_triangle_inequality_over_angles(self):
         rng = np.random.default_rng(3)
