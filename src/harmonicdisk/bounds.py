@@ -18,12 +18,11 @@ membership; reports therefore record slacks instead of raising.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _as_count
+from .errors import _as_count, _as_real
 from .maps import ClassParams, HarmonicMap
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
 from .series import DEFAULT_ORDER, _radius_powers
@@ -119,9 +118,7 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
 
 def _at_radius(p: ClassParams, r: float, n_terms: int) -> list[float]:
     """The four envelope values at one radius *r*, once it is checked to lie in [0, 1)."""
-    r = float(r)
-    if not (math.isfinite(r) and 0.0 <= r < 1.0):
-        raise DomainError(f"growth bounds need 0 <= r < 1, got {r}")
+    r = _as_real(r, "growth radius r", 0, 1, "[)")
     return [float(x[0]) for x in _envelope(p, np.array([r]), n_terms)]
 
 

@@ -9,12 +9,11 @@ exercised by the sampled membership tests.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DomainError, _as_count
+from .errors import DomainError, _as_count, _as_real
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .membership import _coefficient_sum
 from .series import TruncatedSeries
@@ -33,9 +32,7 @@ def convex_combination(maps: Sequence[HarmonicMap], weights: Sequence[float]) ->
         raise DomainError("convex combination needs at least one map")
     if len(weights) != len(maps):
         raise DomainError("one weight per map required")
-    ws = [float(w) for w in weights]
-    if any(not math.isfinite(w) or w < 0.0 for w in ws):
-        raise DomainError("weights must be finite and nonnegative")
+    ws = [_as_real(w, f"weights[{i}]", 0) for i, w in enumerate(weights)]
     if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
         raise DomainError(f"weights must sum to 1, got {sum(ws)!r}")
     n = min(f.order for f in maps)
@@ -81,10 +78,7 @@ def random_member(
     """
     order = _as_count(order, "order", 2)
     max_terms = _as_count(max_terms, "max_terms", 1)
-    if u is None:
-        u = float(rng.uniform(0.0, 1.0))
-    if not 0.0 <= u <= 1.0:
-        raise DomainError("target fraction u must lie in [0, 1]")
+    u = float(rng.uniform(0.0, 1.0)) if u is None else _as_real(u, "target fraction u", 0, 1)
 
     s = np.zeros(order + 1, dtype=np.complex128)
     t = np.zeros(order + 1, dtype=np.complex128)

@@ -13,14 +13,14 @@ per point), and a witness is the sample point ``r * exp(2j*pi*k/n)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCurveError, DomainError, _as_count
+from .errors import DegenerateCurveError, DomainError, _as_count, _as_real
 from .maps import HarmonicMap
 from .sampling import MembershipVerdict, verdict_from_margins
+from .series import _as_complex_vector
 
 #: Minimum number of angular samples for any circle computation.
 MIN_CIRCLE_SAMPLES = 64
@@ -41,9 +41,7 @@ _PAIR_BLOCK = 1 << 18
 
 
 def _check_circle_args(r: float, n: int) -> tuple[float, int]:
-    r = float(r)
-    if not (math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"circle radius must lie in (0, 1), got {r}")
+    r = _as_real(r, "circle radius", 0, 1, "()")
     return r, _as_count(n, "circle sample count", MIN_CIRCLE_SAMPLES)
 
 
@@ -60,13 +58,9 @@ class CirclePolyline:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_count(self.n, "polyline n", MIN_CIRCLE_SAMPLES))
-        pts = np.asarray(self.points, dtype=np.complex128)
+        pts = _as_complex_vector(self.points, "polyline points")
         if pts.shape != (self.n,):
             raise DomainError("polyline points must be a length-n complex vector")
-        if not np.all(np.isfinite(pts.view(np.float64))):
-            raise DomainError("polyline points must be finite")
-        pts = pts.copy()
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
 

@@ -9,15 +9,13 @@ slices ``s + eps*t``.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, _as_count
+from .errors import DomainError, NormalizationError, _as_complex, _as_count, _as_real
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _check_disk, _horner, eval_rings
+from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, eval_rings
 
 #: A holding sense-preservation verdict with margin below this is flagged
 #: near-degenerate: extremal maps attain equality only as |z| -> 1, so
@@ -35,10 +33,7 @@ class ClassParams:
 
     def __post_init__(self):
         for name in ("gamma", "delta", "lam"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise DomainError(f"{name} must be a finite real number")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if self.delta < self.gamma:
             raise DomainError(f"gamma <= delta violated: gamma={self.gamma}, delta={self.delta}")
         if not 0.0 <= self.lam < self.gamma:
@@ -58,18 +53,17 @@ class ClassParams:
 
 
 def _check_normalized(series: TruncatedSeries, want_unit_slope: bool, label: str) -> None:
+    if not isinstance(series, TruncatedSeries):
+        raise DomainError(f"{label} must be a TruncatedSeries, got {type(series).__name__}")
     if series.order < 1:
         raise NormalizationError(f"{label} must have order >= 1")
     c0 = series.coeff(0)
     c1 = series.coeff(1)
     if abs(c0) > COEFF_TOL:
         raise NormalizationError(f"{label}[0]: {label}(0) must be 0, got {c0}")
-    if want_unit_slope:
-        if abs(c1 - 1.0) > COEFF_TOL:
-            raise NormalizationError(f"{label}[1]: {label}'(0) must be 1, got {c1}")
-    else:
-        if abs(c1) > COEFF_TOL:
-            raise NormalizationError(f"{label}[1]: {label}'(0) must be 0, got {c1}")
+    slope = 1.0 if want_unit_slope else 0.0
+    if abs(c1 - slope) > COEFF_TOL:
+        raise NormalizationError(f"{label}[1]: {label}'(0) must be {slope:g}, got {c1}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,7 @@ class HarmonicMap:
 
     def evaluate(self, z: complex) -> complex:
         """Map value ``s(z) + conj(t(z))`` for |z| <= 1."""
-        z = complex(z)
-        _check_disk(z)
-        return complex(_horner(self.s.coeffs, z)) + complex(_horner(self.t.coeffs, z)).conjugate()
+        return self.s.evaluate(z) + self.t.evaluate(z).conjugate()
 
     def rings(self, radii, n: int, j: int = 0) -> np.ndarray:
         """(d/dtheta)^j f at ``radii[i] * exp(2j*pi*k/n)``, j = 0 or 1, by :func:`eval_rings`.
@@ -119,7 +111,7 @@ class HarmonicMap:
         inequality, which is what makes them the work-horse of the sampled
         checks.
         """
-        eps = complex(eps)
+        eps = _as_complex(eps, "slice parameter eps")
         if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails this comparison
             raise DomainError(f"slice parameter must satisfy |eps| = 1, got |eps| = {abs(eps)}")
         n = max(self.s.order, self.t.order)

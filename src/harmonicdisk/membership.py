@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import _as_count
+from .errors import _as_complex, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
 from .series import TruncatedSeries, eval_many, eval_rings
@@ -59,7 +59,7 @@ def operator_coeffs(h: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
 
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:
     """Value of gamma*h'(z) + delta*z*h''(z) + ((delta-gamma)/2)*z^2*h'''(z) for |z| <= 1."""
-    return complex(_operator_values(h, p, np.asarray(complex(z))))
+    return complex(_operator_values(h, p, np.asarray(_as_complex(z, "evaluation point z"))))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ geometry tests for concrete members.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, InternalConsistencyError, _as_count
+from .errors import DomainError, InternalConsistencyError, _as_count, _as_real
 from .maps import ClassParams, HarmonicMap
 
 _BISECTION_CAP = 200
@@ -79,11 +78,6 @@ class RadiusReport:
     note: str = ""
 
 
-def _check_tol(tol) -> None:
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be a finite positive real, got {tol!r}")
-
-
 def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
     """Bisection on (0, 1) for a strictly decreasing polynomial.
 
@@ -91,7 +85,7 @@ def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
     (or the iteration cap / machine resolution), so the reported root
     satisfies |radius - root| <= tol/2 and |poly(radius)| <= tol.
     """
-    _check_tol(tol)
+    tol = _as_real(tol, "tolerance", 0, ends="()")
     lo, hi = 0.0, 1.0
     flo, fhi = poly(lo), poly(hi)
     if not (flo > 0.0 and fhi < 0.0):
@@ -178,9 +172,7 @@ def convexity_threshold_lambda(delta: float, n_terms: int = 10000) -> ThresholdR
     ~1/m^2 tails decisively at desk scale but cannot resolve deltas very
     close to the convergent point.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta >= 1.0):
-        raise DomainError("threshold solve needs delta >= 1")
+    delta = _as_real(delta, "delta", 1)
     n_terms = _as_count(n_terms, "n_terms", 10)
     m = np.arange(1, n_terms + 1, dtype=np.float64)
     terms = _threshold_terms(delta, m)
@@ -235,7 +227,7 @@ def numeric_radius_oracle(
         test = geometry.convex_on_circle
     else:
         raise DomainError(f"unknown circle property {prop!r} (want 'starlike' or 'convex')")
-    _check_tol(tol)
+    tol = _as_real(tol, "tolerance", 0, ends="()")
 
     v_lo = test(f, _ORACLE_MIN, n_theta)
     if not v_lo.holds:

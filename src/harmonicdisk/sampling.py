@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _as_count
+from .errors import _as_count, _as_real
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -33,8 +32,8 @@ class PolarGrid:
     n_angles: int = 96
 
     def __post_init__(self):
-        if not (isinstance(self.max_radius, numbers.Real) and 0.0 < self.max_radius < 1.0):
-            raise DomainError(f"grid max_radius must lie in (0, 1), got {self.max_radius!r}")
+        max_radius = _as_real(self.max_radius, "grid max_radius", 0, 1, "()")
+        object.__setattr__(self, "max_radius", max_radius)
         for name, minimum in (("n_radii", 1), ("n_angles", 4)):
             object.__setattr__(self, name, _as_count(getattr(self, name), f"grid {name}", minimum))
 

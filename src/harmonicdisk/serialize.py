@@ -19,11 +19,10 @@ offending coefficient.
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import IO, Any
 
-from .errors import DocumentError
+from .errors import DocumentError, DomainError, _as_real
 from .maps import ClassParams, HarmonicMap
 from .series import TruncatedSeries
 
@@ -36,21 +35,22 @@ def _require_dict(value: Any, path: str) -> dict:
     return value
 
 
+def _parse_number(value: Any, path: str) -> float:
+    try:
+        return _as_real(value, "value")
+    except DomainError as e:
+        raise DocumentError(str(e), path) from None
+
+
 def _parse_coeffs(value: Any, path: str) -> list[complex]:
     if not isinstance(value, list):
         raise DocumentError(f"expected a list of [re, im] pairs, got {type(value).__name__}", path)
     out = []
     for i, pair in enumerate(value):
         here = f"{path}[{i}]"
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError("expected a [re, im] pair of numbers", here)
-        if not all(math.isfinite(float(x)) for x in pair):
-            raise DocumentError("coefficient must be finite", here)
-        out.append(complex(float(pair[0]), float(pair[1])))
+        out.append(complex(*(_parse_number(x, here) for x in pair)))
     return out
 
 
@@ -60,10 +60,7 @@ def _parse_params(value: Any, path: str) -> ClassParams:
     for key in ("gamma", "delta", "lambda"):
         if key not in obj:
             raise DocumentError(f"missing required key {key!r}", path)
-        v = obj[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise DocumentError("expected a number", f"{path}.{key}")
-        vals[key] = float(v)
+        vals[key] = _parse_number(obj[key], f"{path}.{key}")
     return ClassParams(gamma=vals["gamma"], delta=vals["delta"], lam=vals["lambda"])
 
 
@@ -128,15 +125,15 @@ def dumps_document(doc: dict) -> str:
 
 
 def load_map(source: str | os.PathLike | IO[str]) -> tuple[HarmonicMap, ClassParams | None, dict]:
-    """Load a map document from a path or a readable stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    """Load a map document from a path or a readable stream of UTF-8 JSON."""
     try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise DocumentError(f"invalid JSON: {e}") from e
     return document_to_map(doc)
 

@@ -20,12 +20,11 @@ rounding, not bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _as_count
+from .errors import DomainError, _as_complex, _as_count, _as_real
 
 #: Absolute tolerance for series-level equality checks.  Double-precision
 #: Horner error on |z| <= 1 with order <= 256 stays far below this.
@@ -48,13 +47,16 @@ DEFAULT_ORDER = 64
 _UNDERFLOW_LOG2 = -1100.0
 
 
-def _as_coeff_array(coeffs) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
+def _as_complex_vector(values, what: str) -> np.ndarray:
+    """A read-only copy of *values* as a nonempty, finite 1-d complex array, or a DomainError."""
+    try:
+        arr = np.atleast_1d(np.array(values, dtype=np.complex128))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be complex numbers") from None
     if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("coefficients must form a nonempty 1-d sequence")
+        raise DomainError(f"{what} must form a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr.view(np.float64))):
-        raise DomainError("coefficients must be finite (no NaN/Inf)")
-    arr = arr.copy()
+        raise DomainError(f"{what} must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr
 
@@ -80,7 +82,7 @@ class TruncatedSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
+        object.__setattr__(self, "coeffs", _as_complex_vector(self.coeffs, "coefficients"))
 
     # -- constructors ------------------------------------------------------
 
@@ -100,7 +102,7 @@ class TruncatedSeries:
         m = _as_count(m, "monomial exponent m")
         order = m if order is None else _as_count(order, "order", m)
         arr = np.zeros(order + 1, dtype=np.complex128)
-        arr[m] = c
+        arr[m] = _as_complex(c, "monomial coefficient c")
         return cls(arr)
 
     @classmethod
@@ -138,7 +140,7 @@ class TruncatedSeries:
 
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation at a point of the closed unit disk."""
-        z = complex(z)
+        z = _as_complex(z, "evaluation point z")
         _check_disk(z)
         return complex(_horner(self.coeffs, z))
 
@@ -166,9 +168,7 @@ class TruncatedSeries:
         For a normalized series s this realizes s(r z)/r, the dilation used
         when restricting a map to a smaller disk.
         """
-        r = float(r)
-        if not (math.isfinite(r) and 0.0 < r <= 1.0):
-            raise DomainError(f"scale factor must lie in (0, 1], got {r}")
+        r = _as_real(r, "scale factor", 0, 1, "(]")
         powers = r ** (np.arange(len(self.coeffs)) - 1.0)
         return TruncatedSeries(self.coeffs * powers)
 

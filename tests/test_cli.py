@@ -98,6 +98,20 @@ class TestCheckCommand:
         code, out = run(capsys, ["check", "--in", str(bad), *PFLAGS])
         assert code == 2 and "error" in out
 
+    @pytest.mark.parametrize(
+        "field,doc",
+        [
+            ("s_coeffs[2]", '{"version": 1, "s_coeffs": [[0,0],[1,0],[1%s,0]], "t_coeffs": []}'),
+            ("params.gamma", '{"version": 1, "params": {"gamma": 1%s, "delta": 1, "lambda": 0},'
+             ' "s_coeffs": [[0,0],[1,0]], "t_coeffs": []}'),
+        ],
+    )
+    def test_oversized_number_exits_two(self, capsys, tmp_path, field, doc):
+        big = tmp_path / "big.json"
+        big.write_text(doc % ("0" * 400))
+        code, out = run(capsys, ["check", "--in", str(big), *PFLAGS])
+        assert code == 2 and out["error"].startswith(f"{field}: ")
+
     def test_missing_file_exits_two(self, capsys):
         code, out = run(capsys, ["check", "--in", "/nonexistent/f.json", *PFLAGS])
         assert code == 2

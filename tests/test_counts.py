@@ -1,9 +1,17 @@
-"""Counts (grid sizes, sample counts, orders, term counts) must be integers.
+"""Counts must be integers, reals must be real numbers, points must be complex.
 
-A float, NaN or string is a DomainError, not a silently rounded grid or a
-bare TypeError from numpy; numpy integers are counts like any other.  A grid
-radius must be a real number.  A count below its minimum is a DomainError
-that names the count, the minimum and the value.
+A count (grid size, sample count, order, term count) given as a float, NaN
+or string is a DomainError, not a silently rounded grid or a bare TypeError
+from numpy; numpy integers are counts like any other.  A count below its
+minimum is a DomainError that names the count, the minimum and the value.
+
+A real argument (radius, tolerance, scale factor, weight, fraction, class
+parameter) given as None, a string, a bool, a complex, NaN, an infinity or
+an int beyond the double range is a DomainError "{name} must be a finite
+real number, got {value!r}"; one outside its interval is "{name} must lie in
+(0, 1], got 0.0".  numpy reals give the results of the equal Python numbers.
+A complex scalar (evaluation point, slice parameter, monomial coefficient)
+follows the same type rule, and so do the parts of a series or a map.
 """
 
 import numpy as np
@@ -13,10 +21,14 @@ from harmonicdisk import (
     CirclePolyline,
     ClassParams,
     DomainError,
+    HarmonicMap,
     PolarGrid,
     TruncatedSeries,
+    apply_operator,
     circle_image,
+    convex_combination,
     convex_on_circle,
+    convolve_analytic,
     convexity_threshold_lambda,
     growth_envelope_check,
     growth_lower,
@@ -26,6 +38,7 @@ from harmonicdisk import (
     make_extremal_full,
     make_extremal_single,
     numeric_radius_oracle,
+    radius_fully_convex,
     random_member,
     slice_membership_sampled,
     starlike_on_circle,
@@ -34,6 +47,7 @@ from harmonicdisk.series import eval_rings
 
 P = ClassParams(1, 1.5, 0.2)
 F = make_extremal_single(P, 3, order=16)
+G = make_extremal_single(P, 2, order=16)
 PTS = np.zeros(64, dtype=np.complex128)
 
 
@@ -86,6 +100,135 @@ REJECTED = {
 def test_non_integer_count_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+#: Each real argument as a call of one value, with the name its errors carry.
+REAL_SITES = {
+    "grid max_radius": ("grid max_radius", lambda x: PolarGrid(max_radius=x)),
+    "circle radius": ("circle radius", lambda x: circle_image(F, x)),
+    "growth radius": ("growth radius r", lambda x: growth_upper(P, x)),
+    "scale factor": ("scale factor", lambda x: F.s.scale_argument(x)),
+    "tolerance": ("tolerance", lambda x: radius_fully_convex(P, x)),
+    "threshold delta": ("delta", lambda x: convexity_threshold_lambda(x, 100)),
+    "weight": ("weights[1]", lambda x: convex_combination([F, G], [1, x])),
+    "random_member u": ("target fraction u", lambda x: random_member(P, rng(), u=x)),
+    "gamma": ("gamma", lambda x: ClassParams(x, 2, 0)),
+    "delta": ("delta", lambda x: ClassParams(1, x, 0)),
+    "lam": ("lam", lambda x: ClassParams(1, 2, x)),
+}
+
+NOT_REAL = {
+    "None": None,
+    "str": "0.5",
+    "True": True,
+    "1j": 1j,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "10**400": 10**400,
+}
+
+#: Every site and non-real value, except that u=None draws u from the generator.
+NOT_REAL_CASES = [
+    (site, label) for site in REAL_SITES for label in NOT_REAL if (site, label) != ("random_member u", "None")
+]
+
+
+@pytest.mark.parametrize(("site", "label"), NOT_REAL_CASES, ids=[f"{s}-{lb}" for s, lb in NOT_REAL_CASES])
+def test_non_real_names_the_argument(site, label):
+    name, call = REAL_SITES[site]
+    x = NOT_REAL[label]
+    with pytest.raises(DomainError) as err:
+        call(x)
+    assert str(err.value) == f"{name} must be a finite real number, got {x!r}"
+
+
+OUTSIDE_INTERVAL = {
+    "grid max_radius": (lambda: PolarGrid(max_radius=1), "grid max_radius must lie in (0, 1), got 1.0"),
+    "circle radius": (lambda: circle_image(F, 0), "circle radius must lie in (0, 1), got 0.0"),
+    "growth radius": (lambda: growth_upper(P, 1.0), "growth radius r must lie in [0, 1), got 1.0"),
+    "scale factor": (lambda: F.s.scale_argument(0.0), "scale factor must lie in (0, 1], got 0.0"),
+    "tolerance": (lambda: radius_fully_convex(P, -1), "tolerance must lie in (0, inf), got -1.0"),
+    "threshold delta": (
+        lambda: convexity_threshold_lambda(0.5), "delta must lie in [1, inf), got 0.5"
+    ),
+    "weight": (
+        lambda: convex_combination([F, G], [1.5, -0.5]), "weights[1] must lie in [0, inf), got -0.5"
+    ),
+    "random_member u": (
+        lambda: random_member(P, rng(), u=1.5), "target fraction u must lie in [0, 1], got 1.5"
+    ),
+    "gamma": (
+        lambda: ClassParams(0, 1, 0), "0 <= lambda < gamma violated: lambda=0.0, gamma=0.0"
+    ),
+    "delta": (
+        lambda: ClassParams(1, 0.5, 0), "gamma <= delta violated: gamma=1.0, delta=0.5"
+    ),
+    "lam": (
+        lambda: ClassParams(1, 2, -0.5), "0 <= lambda < gamma violated: lambda=-0.5, gamma=1.0"
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "message"), OUTSIDE_INTERVAL.values(), ids=OUTSIDE_INTERVAL.keys())
+def test_real_outside_its_interval_names_the_interval(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+NOT_COMPLEX = {
+    "series evaluate str": (
+        lambda: F.s.evaluate("0.5"), "evaluation point z must be a complex number, got '0.5'"
+    ),
+    "series evaluate None": (
+        lambda: F.s.evaluate(None), "evaluation point z must be a complex number, got None"
+    ),
+    "map evaluate str": (
+        lambda: F.evaluate("x"), "evaluation point z must be a complex number, got 'x'"
+    ),
+    "map evaluate True": (
+        lambda: F.evaluate(True), "evaluation point z must be a complex number, got True"
+    ),
+    "apply_operator str": (
+        lambda: apply_operator(F.s, P, "0.5"),
+        "evaluation point z must be a complex number, got '0.5'",
+    ),
+    "apply_operator 10**400": (
+        lambda: apply_operator(F.s, P, 10**400),
+        f"evaluation point z must be a complex number, got {10**400!r}",
+    ),
+    "slice str": (
+        lambda: F.analytic_slice("1"), "slice parameter eps must be a complex number, got '1'"
+    ),
+    "slice None": (
+        lambda: F.analytic_slice(None), "slice parameter eps must be a complex number, got None"
+    ),
+    "monomial c": (
+        lambda: TruncatedSeries.monomial(1, "x"),
+        "monomial coefficient c must be a complex number, got 'x'",
+    ),
+    "series of strings": (
+        lambda: TruncatedSeries(["a"]), "coefficients must be complex numbers"
+    ),
+    "ragged series": (
+        lambda: TruncatedSeries([[0, 1], [0]]),
+        "coefficients must be complex numbers",
+    ),
+    "map of lists": (
+        lambda: HarmonicMap([0, 1], [0, 0]), "s must be a TruncatedSeries, got list"
+    ),
+    "map t list": (lambda: HarmonicMap(F.s, [0, 0]), "t must be a TruncatedSeries, got list"),
+    "convolve_analytic list": (
+        lambda: convolve_analytic(F, [0, 1]), "phi must be a TruncatedSeries, got list"
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "message"), NOT_COMPLEX.values(), ids=NOT_COMPLEX.keys())
+def test_non_complex_scalar_or_part_is_a_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 BELOW_MINIMUM = {
@@ -187,3 +330,31 @@ ACCEPTED = {
 @pytest.mark.parametrize("call", ACCEPTED.values(), ids=ACCEPTED.keys())
 def test_numpy_integer_count_equals_int(call):
     assert repr(call(np.int64)) == repr(call(int))
+
+
+#: Each real argument as a call of one value, with in-domain values to try;
+#: the integer values are also tried as np.int64 against int.
+REAL_ACCEPTED = {
+    "grid": ((0.9,), lambda x: PolarGrid(max_radius=x, n_radii=3, n_angles=16).points().tolist()),
+    "grid describe": ((0.9,), lambda x: PolarGrid(max_radius=x).describe()),
+    "circle_image": ((0.5,), lambda x: circle_image(F, x).points.tolist()),
+    "starlike": ((0.5,), lambda x: starlike_on_circle(F, x)),
+    "growth_upper": ((0, 0.5), lambda x: growth_upper(P, x)),
+    "growth_lower": ((0, 0.5), lambda x: growth_lower(P, x)),
+    "scale_argument": ((1, 0.5), lambda x: F.s.scale_argument(x).coeffs.tolist()),
+    "tolerance": ((1, 1e-6), lambda x: radius_fully_convex(P, x)),
+    "oracle tolerance": ((1e-2,), lambda x: numeric_radius_oracle(F, "convex", tol=x, n_theta=256)),
+    "threshold delta": ((2, 1.5), lambda x: convexity_threshold_lambda(x, 100)),
+    "weights": ((0, 1, 0.25), lambda x: both_parts(convex_combination([F, G], [x, 1 - x]))),
+    "random_member u": ((0, 1, 0.5), lambda x: both_parts(random_member(P, rng(), u=x))),
+    "params": ((1, 0.5), lambda x: radius_fully_convex(ClassParams(1 + x, 2 + x, x))),
+    "evaluate": ((0, 0.5), lambda x: F.evaluate(x)),
+    "slice": ((1, -1.0), lambda x: F.analytic_slice(x).coeffs.tolist()),
+}
+
+
+@pytest.mark.parametrize(("values", "call"), REAL_ACCEPTED.values(), ids=REAL_ACCEPTED.keys())
+def test_numpy_real_equals_python_real(values, call):
+    for x in values:
+        as_numpy = np.int64 if isinstance(x, int) else np.float64
+        assert repr(call(as_numpy(x))) == repr(call(x))

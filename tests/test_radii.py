@@ -201,8 +201,19 @@ SOLVES = {
 }
 
 
-@pytest.mark.parametrize("tol", ["0.1", None, float("nan"), float("inf"), 0.0, -1e-3], ids=repr)
+BAD_TOLERANCES = [
+    ("0.1", "tolerance must be a finite real number, got '0.1'"),
+    (None, "tolerance must be a finite real number, got None"),
+    (float("nan"), "tolerance must be a finite real number, got nan"),
+    (float("inf"), "tolerance must be a finite real number, got inf"),
+    (0.0, "tolerance must lie in (0, inf), got 0.0"),
+    (-1e-3, "tolerance must lie in (0, inf), got -0.001"),
+]
+
+
+@pytest.mark.parametrize(("tol", "message"), [pytest.param(t, m, id=repr(t)) for t, m in BAD_TOLERANCES])
 @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
-def test_tolerance_must_be_a_finite_positive_real(solve, tol):
-    with pytest.raises(DomainError, match="tolerance must be a finite positive real"):
+def test_tolerance_must_be_a_finite_positive_real(solve, tol, message):
+    with pytest.raises(DomainError) as err:
         solve(tol)
+    assert str(err.value) == message

@@ -84,6 +84,11 @@ class TestSchemaErrors:
             (lambda d: d.update(s_coeffs=[[0, 0], [1, float("inf")]]), "s_coeffs[1]"),
             (lambda d: d.update(params={"gamma": 1, "delta": 1}), "params"),
             (lambda d: d.update(params={"gamma": 1, "delta": 1, "lambda": "x"}), "params.lambda"),
+            # integers beyond the double range used to escape as OverflowError
+            (lambda d: d["s_coeffs"].append([10**400, 0]), "s_coeffs[3]"),
+            (lambda d: d["t_coeffs"].append([0, -(10**400)]), "t_coeffs[3]"),
+            (lambda d: d["params"].update(gamma=10**400), "params.gamma"),
+            (lambda d: d["params"].update(delta=True), "params.delta"),
             (lambda d: d.update(meta={"a": 3}), "meta.a"),
         ],
     )
@@ -101,6 +106,21 @@ class TestSchemaErrors:
     def test_invalid_json_stream(self):
         with pytest.raises(DocumentError):
             load_map(io.StringIO("{not json"))
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(valid_doc(meta={"note": "caf\u00e9"}), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DocumentError, match="invalid JSON"):
+            load_map(path)
+
+    def test_nesting_beyond_the_parser_depth(self):
+        with pytest.raises(DocumentError, match="invalid JSON"):
+            load_map(io.StringIO("[" * 100_000))
+
+    def test_non_utf8_stream(self):
+        with pytest.raises(DocumentError, match="invalid JSON"):
+            load_map(io.TextIOWrapper(io.BytesIO(b'{"version": 1, "meta": "\xff"}'), encoding="utf-8"))
 
     def test_short_analytic_part(self):
         with pytest.raises(DocumentError):
