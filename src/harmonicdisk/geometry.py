@@ -7,8 +7,8 @@ curve bounding a starlike (convex) domain.  These sampled tests are the
 ground truth behind the numeric radius oracle.
 
 Every test samples one circle at n equally spaced angles: f and d/dtheta f
-come from ``HarmonicMap.rings`` (one FFT per part, not an order-N Horner pass
-per point), and a witness is the sample point ``r * exp(2j*pi*k/n)``.
+come from ``HarmonicMap.rings`` (one FFT for f = s + conj(t), not an order-N
+Horner pass per point), and a witness is the sample point ``r * exp(2j*pi*k/n)``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class CirclePolyline:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", _as_real(self.radius, "polyline radius", 0, 1, "()"))
         object.__setattr__(self, "n", _as_count(self.n, "polyline n", MIN_CIRCLE_SAMPLES))
         pts = _as_complex_vector(self.points, "polyline points")
         if pts.shape != (self.n,):
@@ -84,7 +85,7 @@ def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVer
     the circle is an error, not a verdict: the origin is not cleanly enclosed.
     """
     r, n = _check_circle_args(r, n)
-    fv = circle_image(f, r, n).points
+    fv = f.rings([r], n)[0]
     if float(np.min(np.abs(fv))) < _VALUE_FLOOR:
         raise DegenerateCurveError(f"map value vanishes on circle r={r}")
     return _circle_verdict(np.imag(f.rings([r], n, 1)[0] / fv), r, n)

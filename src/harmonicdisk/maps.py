@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError, _as_complex, _as_count, _as_real
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, eval_rings
+from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _fold, _ring_radii, eval_rings
 
 #: A holding sense-preservation verdict with margin below this is flagged
 #: near-degenerate: extremal maps attain equality only as |z| -> 1, so
@@ -91,17 +91,25 @@ class HarmonicMap:
         return self.s.evaluate(z) + self.t.evaluate(z).conjugate()
 
     def rings(self, radii, n: int, j: int = 0) -> np.ndarray:
-        """(d/dtheta)^j f at ``radii[i] * exp(2j*pi*k/n)``, j = 0 or 1, by :func:`eval_rings`.
+        """(d/dtheta)^j f at ``radii[i] * exp(2j*pi*k/n)``, j = 0 or 1, by one inverse DFT.
 
         d/dtheta multiplies the coefficient of z^k by ik in s and in t alike;
-        j = 0 evaluates the stored series as they are.
+        j = 0 evaluates the stored series as they are.  On ``|z| = r`` the
+        term ``conj(t_k z^k)`` is ``conj(t_k) r^k exp(-2j*pi*k*m/n)``, so t's
+        coefficients, conjugated, fold onto index ``-k mod n`` beside s's on
+        ``k mod n``, and one FFT gives f.
         """
         if _as_count(j, "ring derivative order") > 1:
             raise DomainError(f"ring derivative order must be 0 or 1, got {j}")
-        s, t = self.s, self.t
+        radii, n = _ring_radii(radii), _as_count(n, "ring sample count n", 1)
+        s, t = self.s.coeffs, self.t.coeffs
         if j == 1:
-            s, t = (TruncatedSeries(h.coeffs * (1j * np.arange(len(h.coeffs)))) for h in (s, t))
-        return eval_rings(s, radii, n) + np.conj(eval_rings(t, radii, n))
+            s, t = (c * (1j * np.arange(len(c))) for c in (s, t))
+        folded, conj_t = _fold(s, radii, n), _fold(np.conj(t), radii, n)
+        # column m of conj_t goes to column -m mod n: 0 stays, 1..n-1 reverse
+        folded[:, 0] += conj_t[:, 0]
+        folded[:, :0:-1] += conj_t[:, 1:]
+        return np.fft.ifft(folded, axis=-1, norm="forward")
 
     def analytic_slice(self, eps: complex) -> TruncatedSeries:
         """The analytic function ``s + eps*t`` for unimodular eps.
@@ -115,7 +123,7 @@ class HarmonicMap:
         if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails this comparison
             raise DomainError(f"slice parameter must satisfy |eps| = 1, got |eps| = {abs(eps)}")
         n = max(self.s.order, self.t.order)
-        return TruncatedSeries(self.s.pad_to(n).coeffs + eps * self.t.pad_to(n).coeffs)
+        return TruncatedSeries._derived(self.s.pad_to(n).coeffs + eps * self.t.pad_to(n).coeffs)
 
 
 def identity_map(order: int = 1) -> HarmonicMap:

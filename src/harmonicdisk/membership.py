@@ -54,7 +54,7 @@ def operator_coeffs(h: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
     if h.order == 0:
         return TruncatedSeries.zero(0)
     m = np.arange(1.0, h.order + 1)
-    return TruncatedSeries(h.coeffs[1:] * (p.coefficient_weight(m) / 2.0))
+    return TruncatedSeries._derived(h.coeffs[1:] * (p.coefficient_weight(m) / 2.0))
 
 
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:
@@ -160,5 +160,5 @@ def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> Membe
     """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    ratio = eval_rings(TruncatedSeries(F.coeffs[1:]), grid.radii()[-1:], grid.n_angles)
+    ratio = eval_rings(TruncatedSeries._derived(F.coeffs[1:]), grid.radii()[-1:], grid.n_angles)
     return _circle_verdict(np.real(ratio) - 0.5, grid)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import _as_count, _as_real
+from .errors import DomainError, _as_count, _as_real
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -95,11 +96,15 @@ def verdict_from_margins(
 
     The reduction is deterministic regardless of evaluation order: the
     argmin is taken over the C-order flattening, so ties break on the
-    lexicographically first (radius, angle) index.
+    lexicographically first (radius, angle) index.  A NaN or infinite
+    margin means the sampled values overflowed; that is a DomainError, not
+    a verdict.
     """
     flat = np.ascontiguousarray(np.real(margins)).ravel()
     idx = int(np.argmin(flat))
     margin = float(flat[idx])
+    if not math.isfinite(margin):
+        raise DomainError(f"sampled margin is not finite ({margin}): the values overflowed")
     radii, phases = axes
     i, j = divmod(idx, len(phases))
     witness = complex(radii[i] * phases[j])

@@ -15,11 +15,23 @@ bitwise equal to that function's, without the two temporary arrays
 (:func:`eval_rings`), the samples at n equally spaced angles are a discrete
 Fourier transform of the radius-scaled coefficients, so one FFT per ring
 replaces an order-N Horner pass per point; its values agree with Horner's to
-rounding, not bit for bit.
+rounding, not bit for bit.  For ``f = s + conj(t)``, ``conj(t_k z**k)`` on a
+ring is ``conj(t_k) r**k`` at frequency -k, so
+:meth:`~harmonicdisk.maps.HarmonicMap.rings` folds t's coefficients,
+conjugated, onto index ``-k mod n`` beside s's and runs one inverse FFT.
+
+Public constructors validate; a series derived from a valid series
+(derivatives, padding, the operator and slice series) is
+built by :meth:`TruncatedSeries._derived` and is not copied or re-scanned.
+:meth:`~TruncatedSeries.hadamard` and :meth:`~TruncatedSeries.scale_argument`
+keep the public check, because a product of two valid coefficients and
+``c[0] / r`` for tiny r overflow with ordinary inputs, and their series are
+handed back to callers (``convolve`` writes a document from them).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +59,33 @@ DEFAULT_ORDER = 64
 _UNDERFLOW_LOG2 = -1100.0
 
 
+def _as_numbers(values, what: str, real: bool = False) -> np.ndarray:
+    """*values* as an array of complex (or, if *real*, real) numbers, or a DomainError.
+
+    Each element follows the type rule of the scalars: a string is not
+    parsed, a bool is not read as 0 or 1, and an integer beyond the double
+    range is not a number.  An array of a numeric dtype is returned as it is.
+    """
+    if real:
+        kinds, number, dtype = "iuf", numbers.Real, np.float64
+    else:
+        kinds, number, dtype = "iufc", numbers.Complex, np.complex128
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+        if arr.dtype.kind == "O" and all(
+            isinstance(v, number) and not isinstance(v, bool) for v in arr.flat
+        ):
+            arr = np.array(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        raise DomainError(f"{what} must be {'real' if real else 'complex'} numbers")
+    return arr
+
+
 def _as_complex_vector(values, what: str) -> np.ndarray:
     """A read-only copy of *values* as a nonempty, finite 1-d complex array, or a DomainError."""
-    try:
-        arr = np.atleast_1d(np.array(values, dtype=np.complex128))
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be complex numbers") from None
+    arr = np.atleast_1d(np.array(_as_numbers(values, what), dtype=np.complex128))
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{what} must form a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr.view(np.float64))):
@@ -83,6 +116,22 @@ class TruncatedSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_complex_vector(self.coeffs, "coefficients"))
+
+    @classmethod
+    def _derived(cls, coeffs: np.ndarray) -> "TruncatedSeries":
+        """A series on *coeffs*, a fresh nonempty 1-d complex array computed from a valid series.
+
+        The array is marked read-only, not copied or re-scanned.  Arithmetic
+        on finite coefficients can still overflow (a coefficient near the
+        largest double times its index, or times a class weight of a large
+        delta); such a series holds inf or NaN instead of raising here, and
+        every verdict sampled from it raises a DomainError on its non-finite
+        margin (:func:`~harmonicdisk.sampling.verdict_from_margins`).
+        """
+        coeffs.setflags(write=False)
+        series = object.__new__(cls)
+        object.__setattr__(series, "coeffs", coeffs)
+        return series
 
     # -- constructors ------------------------------------------------------
 
@@ -134,7 +183,7 @@ class TruncatedSeries:
             return self
         c = np.zeros(order + 1, dtype=np.complex128)
         c[: len(self.coeffs)] = self.coeffs
-        return TruncatedSeries(c)
+        return TruncatedSeries._derived(c)
 
     # -- operations --------------------------------------------------------
 
@@ -155,11 +204,12 @@ class TruncatedSeries:
                 c = np.zeros(1, dtype=np.complex128)
                 break
             c = c[1:] * np.arange(1, len(c))
-        return TruncatedSeries(c)
+        return TruncatedSeries._derived(c)
 
     def hadamard(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Coefficient-wise product, truncated to the shorter order."""
         n = min(self.order, other.order)
+        # two valid coefficients of 1e155 overflow, so this series keeps the public check
         return TruncatedSeries(self.coeffs[: n + 1] * other.coeffs[: n + 1])
 
     def scale_argument(self, r: float) -> "TruncatedSeries":
@@ -170,6 +220,7 @@ class TruncatedSeries:
         """
         r = _as_real(r, "scale factor", 0, 1, "(]")
         powers = r ** (np.arange(len(self.coeffs)) - 1.0)
+        # c[0] / r overflows for tiny r, so this series keeps the public check
         return TruncatedSeries(self.coeffs * powers)
 
 
@@ -193,9 +244,38 @@ def _horner(coeffs: np.ndarray, z):
 
 def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation on an array of closed-disk points."""
-    z = np.asarray(z, dtype=np.complex128)
+    z = _as_numbers(z, "evaluation points").astype(np.complex128, copy=False)
     _check_disk(z)
     return _horner(series.coeffs, z)
+
+
+def _ring_radii(radii) -> np.ndarray:
+    """*radii* as a 1-d float array within [0, 1], or a DomainError.
+
+    Valid radii pass one range test on their minimum and maximum, which a NaN
+    fails; the checks that name what is wrong run only after that test fails.
+    """
+    arr = _as_numbers(radii, "ring radii", real=True)
+    if arr.ndim == 1 and (arr.size == 0 or (arr.min() >= 0.0 and arr.max() <= 1.0 + _EDGE_SLACK)):
+        return arr.astype(np.float64, copy=False)
+    if arr.ndim != 1:
+        raise DomainError("ring radii must form a 1-d sequence")
+    _check_disk(arr)
+    raise DomainError("ring radii must be nonnegative")
+
+
+def _fold(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
+    """``coeffs[k] * radii[i]**k`` summed onto column ``k mod n``, shape ``(len(radii), n)``.
+
+    The coefficients are folded one block of n at a time, so no temporary is
+    larger than the result; its inverse DFT along the angles gives the ring
+    values.
+    """
+    folded = np.zeros((len(radii), n), dtype=np.complex128)
+    for k0 in range(0, len(coeffs), n):
+        k = np.arange(k0, min(k0 + n, len(coeffs)), dtype=np.float64)
+        folded[:, : len(k)] += coeffs[k0 : k0 + n] * _radius_powers(radii, k)
+    return folded
 
 
 def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
@@ -203,24 +283,13 @@ def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
 
     On the ring ``|z| = r`` the n samples are the inverse DFT of the
     coefficients ``c[k] * r**k``, with index k folded onto ``k mod n`` when
-    the order reaches n.  The coefficients are folded one block of n at a
-    time, so no temporary is larger than ``(len(radii), n)``, and one FFT
-    along the angles then gives every ring.  ``numpy.fft`` is reached at call
-    time, because ``import numpy`` does not load it.
+    the order reaches n (:func:`_fold`); one FFT along the angles then gives
+    every ring.  ``numpy.fft`` is reached at call time, because ``import
+    numpy`` does not load it.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.ndim != 1:
-        raise DomainError("ring radii must form a 1-d sequence")
-    _check_disk(radii)
-    if np.any(radii < 0.0):
-        raise DomainError("ring radii must be nonnegative")
+    radii = _ring_radii(radii)
     n = _as_count(n, "ring sample count n", 1)
-    c = series.coeffs
-    folded = np.zeros((len(radii), n), dtype=np.complex128)
-    for k0 in range(0, len(c), n):
-        k = np.arange(k0, min(k0 + n, len(c)), dtype=np.float64)
-        folded[:, : len(k)] += c[k0 : k0 + n] * _radius_powers(radii, k)
-    return np.fft.ifft(folded, axis=-1, norm="forward")
+    return np.fft.ifft(_fold(series.coeffs, radii, n), axis=-1, norm="forward")
 
 
 def _radius_powers(radii: np.ndarray, k: np.ndarray) -> np.ndarray:

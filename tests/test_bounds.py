@@ -22,7 +22,7 @@ from harmonicdisk import (
 )
 from harmonicdisk.bounds import _envelope
 from harmonicdisk.closure import random_member
-from harmonicdisk.series import _radius_powers, eval_rings
+from harmonicdisk.series import _radius_powers
 
 from helpers import mixed_order_map, random_params
 
@@ -184,8 +184,7 @@ class TestEnvelopeRows:
             upper = np.array([u.value + u.tail for u, _ in bounds])
             lower = np.array([lo.value - lo.tail for _, lo in bounds])
             # |f| from the same ring values as the check; the per-radius bounds are the reference
-            rings = [eval_rings(h, grid.radii(), grid.n_angles) for h in (f.s, f.t)]
-            absf = np.abs(rings[0] + np.conj(rings[1]))
+            absf = np.abs(f.rings(grid.radii(), grid.n_angles))
             margins = np.minimum(upper[:, None] - absf, absf - lower[:, None])
             v = growth_envelope_check(f, p, grid, n_terms)
             assert v.margin == float(margins.min())

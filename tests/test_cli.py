@@ -112,6 +112,18 @@ class TestCheckCommand:
         code, out = run(capsys, ["check", "--in", str(big), *PFLAGS])
         assert code == 2 and out["error"].startswith(f"{field}: ")
 
+    # numpy's overflow warnings stay warnings, as they do for the command-line tool
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["check", "report"])
+    def test_overflowing_class_weights_exit_two(self, capsys, tmp_path, command):
+        # delta = 1e307 is a valid parameter, but the order-64 weights overflow to inf
+        path = tmp_path / "huge_delta.json"
+        s, t = [0.0] * 65, [0.0] * 65
+        s[1], s[2], t[2] = 1.0, 0.01, 0.01
+        save_map(HarmonicMap(TruncatedSeries(s), TruncatedSeries(t)), path, params=ClassParams(1, 1e307, 0))
+        code, out = run(capsys, [command, "--in", str(path)])
+        assert code == 2 and out["error"] == "sampled margin is not finite (nan): the values overflowed"
+
     def test_missing_file_exits_two(self, capsys):
         code, out = run(capsys, ["check", "--in", "/nonexistent/f.json", *PFLAGS])
         assert code == 2
@@ -159,6 +171,15 @@ class TestConvolveCommand:
     def test_requires_two_inputs(self, capsys, extremal_doc):
         code, out = run(capsys, ["convolve", "--in", extremal_doc])
         assert code == 2
+
+    # numpy's overflow warnings stay warnings, as they do for the command-line tool
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_product_exits_two(self, capsys, tmp_path):
+        # each document is valid, but 1e200 * 1e200 overflows; no Infinity reaches stdout
+        path = tmp_path / "big.json"
+        path.write_text('{"version": 1, "s_coeffs": [[0,0],[1,0],[1e200,0]], "t_coeffs": []}')
+        code, out = run(capsys, ["convolve", "--in", str(path), "--in", str(path)])
+        assert code == 2 and out["error"] == "coefficients must be finite (no NaN/Inf)"
 
 
 class TestGrowthCommand:

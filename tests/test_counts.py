@@ -11,7 +11,9 @@ an int beyond the double range is a DomainError "{name} must be a finite
 real number, got {value!r}"; one outside its interval is "{name} must lie in
 (0, 1], got 0.0".  numpy reals give the results of the equal Python numbers.
 A complex scalar (evaluation point, slice parameter, monomial coefficient)
-follows the same type rule, and so do the parts of a series or a map.
+follows the same type rule, and so do the parts of a series or a map and
+the elements of a coefficient vector, an array of evaluation points or a
+sequence of ring radii: a string is not parsed and a bool is not a number.
 """
 
 import numpy as np
@@ -43,7 +45,7 @@ from harmonicdisk import (
     slice_membership_sampled,
     starlike_on_circle,
 )
-from harmonicdisk.series import eval_rings
+from harmonicdisk.series import eval_many, eval_rings
 
 P = ClassParams(1, 1.5, 0.2)
 F = make_extremal_single(P, 3, order=16)
@@ -115,6 +117,7 @@ REAL_SITES = {
     "gamma": ("gamma", lambda x: ClassParams(x, 2, 0)),
     "delta": ("delta", lambda x: ClassParams(1, x, 0)),
     "lam": ("lam", lambda x: ClassParams(1, 2, x)),
+    "polyline radius": ("polyline radius", lambda x: CirclePolyline(x, PTS, 64)),
 }
 
 NOT_REAL = {
@@ -166,6 +169,9 @@ OUTSIDE_INTERVAL = {
     "lam": (
         lambda: ClassParams(1, 2, -0.5), "0 <= lambda < gamma violated: lambda=-0.5, gamma=1.0"
     ),
+    "polyline radius": (
+        lambda: CirclePolyline(1, PTS, 64), "polyline radius must lie in (0, 1), got 1.0"
+    ),
 }
 
 
@@ -213,6 +219,49 @@ NOT_COMPLEX = {
     "ragged series": (
         lambda: TruncatedSeries([[0, 1], [0]]),
         "coefficients must be complex numbers",
+    ),
+    # numpy parsed these as the series 0 + z + 0.5 z^2
+    "series of numeric strings": (
+        lambda: TruncatedSeries(["0", "1", "0.5"]), "coefficients must be complex numbers"
+    ),
+    "series of bools": (
+        lambda: TruncatedSeries([False, True]), "coefficients must be complex numbers"
+    ),
+    "series with one bool": (
+        lambda: TruncatedSeries([0, True, 0.5]), "coefficients must be complex numbers"
+    ),
+    "series of a bool array": (
+        lambda: TruncatedSeries(np.array([False, True])), "coefficients must be complex numbers"
+    ),
+    "series of a string array": (
+        lambda: TruncatedSeries(np.array(["0", "1"])), "coefficients must be complex numbers"
+    ),
+    "series of an object array with a string": (
+        lambda: TruncatedSeries(np.array([0, "1"], dtype=object)),
+        "coefficients must be complex numbers",
+    ),
+    # these two raised numpy's bare ValueError
+    "eval_rings str radii": (
+        lambda: eval_rings(F.s, ["a"], 64), "ring radii must be real numbers"
+    ),
+    "eval_many str points": (
+        lambda: eval_many(F.s, ["a"]), "evaluation points must be complex numbers"
+    ),
+    "eval_rings numeric-string radii": (
+        lambda: eval_rings(F.s, ["0.5"], 64), "ring radii must be real numbers"
+    ),
+    "eval_rings complex radii": (
+        lambda: eval_rings(F.s, [0.5 + 0j], 64), "ring radii must be real numbers"
+    ),
+    "eval_rings ragged radii": (
+        lambda: eval_rings(F.s, [[0.5], [0.5, 0.6]], 64), "ring radii must be real numbers"
+    ),
+    "rings str radii": (lambda: F.rings(["a"], 64), "ring radii must be real numbers"),
+    "eval_many numeric-string points": (
+        lambda: eval_many(F.s, ["0.5"]), "evaluation points must be complex numbers"
+    ),
+    "eval_many bool points": (
+        lambda: eval_many(F.s, [True]), "evaluation points must be complex numbers"
     ),
     "map of lists": (
         lambda: HarmonicMap([0, 1], [0, 0]), "s must be a TruncatedSeries, got list"
@@ -350,6 +399,7 @@ REAL_ACCEPTED = {
     "params": ((1, 0.5), lambda x: radius_fully_convex(ClassParams(1 + x, 2 + x, x))),
     "evaluate": ((0, 0.5), lambda x: F.evaluate(x)),
     "slice": ((1, -1.0), lambda x: F.analytic_slice(x).coeffs.tolist()),
+    "polyline radius": ((0.5,), lambda x: CirclePolyline(x, PTS, 64).radius),
 }
 
 

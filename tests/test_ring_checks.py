@@ -35,6 +35,7 @@ from harmonicdisk import (
 from harmonicdisk import geometry
 from harmonicdisk.closure import random_member
 from harmonicdisk.sampling import verdict_from_margins
+from harmonicdisk.series import eval_rings
 
 import helpers
 from helpers import EPS, random_params, ring_rounding_bound
@@ -151,6 +152,23 @@ class TestRings:
             assert np.all(np.abs(values[i] - helpers.circle_image_horner(f, r, n)) <= value_bound[i])
             assert np.all(np.abs(rates[i] - ref_rate) <= rate_bound[i])
 
+    @pytest.mark.parametrize("t_order", [64, 65, 300])
+    @pytest.mark.parametrize("s_order", [64, 65, 300])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_one_fold_matches_the_sum_of_two_rings(self, j, n, s_order, t_order):
+        """conj(t) folded onto -k mod n gives eval_rings(s) + conj(eval_rings(t))."""
+        rng = np.random.default_rng(1000 * s_order + t_order + n)
+        s = helpers.random_series(rng, s_order).coeffs.copy()
+        t = helpers.random_series(rng, t_order).coeffs.copy()
+        s[:2], t[:2] = (0.0, 1.0), 0.0
+        f = HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
+        radii = [0.0, 0.3, 0.9, 1.0]
+        parts = [TruncatedSeries(c * (1j * np.arange(len(c))) ** j) for c in (s, t)]
+        ref = eval_rings(parts[0], radii, n) + np.conj(eval_rings(parts[1], radii, n))
+        bound = ring_rounding_bound(parts[0], radii, n) + ring_rounding_bound(parts[1], radii, n)
+        assert np.all(np.abs(f.rings(radii, n, j) - ref) <= bound[:, None])
+
     @pytest.mark.parametrize("j", [-1, 2, 3])
     def test_only_value_and_first_derivative(self, j):
         with pytest.raises(DomainError):
@@ -240,6 +258,17 @@ def test_witness_from_the_axes_is_the_grid_point(grid):
         margins.flat[idx] = -1.0
         v = verdict_from_margins(margins, (radii, phases), "")
         assert repr(v.witness) == repr(complex(pts.flat[idx]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_non_finite_margin_is_a_domain_error(bad):
+    """An overflowed margin is an error, never a verdict whose margin JSON cannot carry."""
+    margins = np.ones((2, 8))
+    margins[1, 3] = bad
+    if bad == np.inf:
+        margins[:] = bad
+    with pytest.raises(DomainError, match=r"sampled margin is not finite \((nan|-?inf)\)"):
+        verdict_from_margins(margins, (np.array([0.5, 0.9]), np.exp(2j * np.pi * np.arange(8) / 8)), "")
 
 
 @pytest.mark.parametrize("grid", GRIDS)

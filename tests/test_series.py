@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries
-from harmonicdisk.membership import apply_operator
+from harmonicdisk.membership import apply_operator, operator_coeffs
 from harmonicdisk.series import _EDGE_SLACK, eval_many, eval_rings
 
-from helpers import EPS, circle_points, ring_rounding_bound, random_series
+from helpers import EPS, circle_points, mixed_order_map, random_params, ring_rounding_bound, random_series
 
 finite_coeff = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(finite_coeff, min_size=2, max_size=12)
@@ -190,6 +190,42 @@ class TestDerivative:
         np.testing.assert_allclose(twice.coeffs, direct.coeffs, atol=1e-12)
 
 
+class TestDerivedSeries:
+    """Series computed from a valid series are read-only and bitwise the public constructor's."""
+
+    @staticmethod
+    def pairs(f, p):
+        """(derived series, the public constructor on the same formula) by name."""
+        s, t = f.s.coeffs, f.t.coeffs
+        n = f.order
+        padded = [np.concatenate([c, np.zeros(n + 1 - len(c))]) for c in (s, t)]
+        eps = np.exp(0.3j)
+        m = np.arange(1.0, len(s))
+        t3 = t
+        for _ in range(3):
+            t3 = t3[1:] * np.arange(1, len(t3)) if len(t3) > 1 else np.zeros(1, dtype=complex)
+        k = min(len(s), len(t))
+        return {
+            "derivative 1": (f.s.derivative(1), s[1:] * np.arange(1, len(s))),
+            "derivative 3": (f.t.derivative(3), t3),
+            "derivative 0": (f.s.derivative(0), s),
+            "pad_to": (f.t.pad_to(n + 7), np.concatenate([t, np.zeros(n + 7 - len(t) + 1)])),
+            "hadamard": (f.s.hadamard(f.t), s[:k] * t[:k]),
+            "analytic_slice": (f.analytic_slice(eps), padded[0] + eps * padded[1]),
+            "operator_coeffs": (operator_coeffs(f.s, p), s[1:] * (p.coefficient_weight(m) / 2.0)),
+        }
+
+    @pytest.mark.parametrize("orders", [(2, 2), (16, 5), (5, 16), (300, 300)])
+    def test_read_only_and_bitwise_the_public_series(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        f = mixed_order_map(rng, *orders)
+        for name, (h, formula) in self.pairs(f, random_params(rng)).items():
+            assert not h.coeffs.flags.writeable, name
+            with pytest.raises(ValueError):
+                h.coeffs[0] = 1.0
+            assert h.coeffs.tobytes() == TruncatedSeries(formula).coeffs.tobytes(), name
+
+
 class TestHadamard:
     def test_truncates_to_min_order(self):
         out = TruncatedSeries([0, 1]).hadamard(TruncatedSeries([0, 1, 7]))
@@ -203,6 +239,11 @@ class TestHadamard:
     def test_direct_arithmetic(self):
         s = TruncatedSeries([0, 1, 0.25])
         np.testing.assert_allclose(s.hadamard(s).coeffs, [0, 1, 0.0625])
+
+    def test_overflowing_product_is_a_domain_error(self):
+        s = TruncatedSeries([0, 1, 1e155])
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="coefficients must be finite"):
+            s.hadamard(s)
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=50)
