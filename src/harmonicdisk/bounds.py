@@ -10,9 +10,9 @@ term sequence: the upper envelope sums it, the lower one alternates its
 signs.  ``_envelope`` builds those terms once for an array of radii; a
 per-radius bound (``growth_upper``, ``growth_lower``) is its one-row case, so
 it equals the row that ``growth_envelope_check`` uses at that radius.  The
-check samples |f| ring by ring with ``HarmonicMap.rings`` (one FFT per ring
-for s and one for t), so its values agree with a Horner evaluation to
-rounding.  Bounds are necessary conditions, so a violation disproves
+check samples |f| on every ring with ``HarmonicMap.rings`` (one fold of s
+and conj(t), which share each table of radius powers, and one FFT), so its
+values agree with a Horner evaluation to rounding.  Bounds are necessary conditions, so a violation disproves
 membership; reports therefore record slacks instead of raising.
 """
 

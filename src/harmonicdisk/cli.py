@@ -2,9 +2,9 @@
 
 Every command prints one JSON result on stdout; ``--verbose`` adds a human
 summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
-verdict fails, 2 on usage or validation errors, 3 on an internal fault (its
-traceback goes to stderr).  A reader that closes stdout early does not
-change the exit code.
+verdict fails, 2 on usage or validation errors, 3 on an internal fault, an
+``InternalConsistencyError`` included (its traceback goes to stderr).  A
+reader that closes stdout early does not change the exit code.
 
 Each command takes exactly the flags its body reads (``_COMMAND_FLAGS``),
 by their full names; any other flag, or an abbreviation, is a usage error.
@@ -25,7 +25,7 @@ import sys
 import traceback
 
 from . import bounds, closure, geometry, membership, radii, serialize, svgplot
-from .errors import HarmonicDiskError
+from .errors import HarmonicDiskError, InternalConsistencyError
 from .maps import ClassParams, HarmonicMap, make_extremal_full, make_extremal_single, sense_preserving_check
 from .sampling import MembershipVerdict, PolarGrid
 
@@ -300,11 +300,14 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        result = _COMMANDS[args.command](args)
-    except (HarmonicDiskError, ValueError, OSError) as e:
-        _print_json({"error": str(e)})
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        try:
+            result = _COMMANDS[args.command](args)
+        except InternalConsistencyError:
+            raise  # a guaranteed precondition failed: a fault, not bad input
+        except (HarmonicDiskError, ValueError, OSError) as e:
+            _print_json({"error": str(e)})
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     except Exception as e:  # noqa: BLE001 - any other failure is a bug, not bad input
         _print_json({"error": f"internal error: {type(e).__name__}: {e}"})
         traceback.print_exc()

@@ -7,8 +7,10 @@ curve bounding a starlike (convex) domain.  These sampled tests are the
 ground truth behind the numeric radius oracle.
 
 Every test samples one circle at n equally spaced angles: f and d/dtheta f
-come from ``HarmonicMap.rings`` (one FFT for f = s + conj(t), not an order-N
-Horner pass per point), and a witness is the sample point ``r * exp(2j*pi*k/n)``.
+come from one fold of the coefficients of s and conj(t) and one FFT
+(``HarmonicMap.rings``, not an order-N Horner pass per point), and the
+starlikeness test reads both from the same fold.  A witness is the sample
+point ``r * exp(2j*pi*k/n)``, formed for its index k alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, _as_count, _as_real
-from .maps import HarmonicMap
+from .maps import HarmonicMap, _ring_orders
 from .sampling import MembershipVerdict, verdict_from_margins
 from .series import _as_complex_vector
 
@@ -71,24 +73,47 @@ def circle_image(f: HarmonicMap, r: float, n: int = 256) -> CirclePolyline:
     return CirclePolyline(radius=r, points=f.rings([r], n)[0], n=n)
 
 
+class _UnitRoots:
+    """The n points ``exp(2j*pi*k/n)`` as a sequence that forms only the entries read.
+
+    It is a phase axis for :func:`~harmonicdisk.sampling.verdict_from_margins`,
+    which reads only ``len`` and the entry at the argmin.
+
+    Entry k takes the array operations of
+    ``np.exp(2j * np.pi * np.arange(n) / n)`` on the one index k, so it is
+    bitwise that array's element, and naming a witness costs one ``exp``
+    instead of n.  (Python's scalar complex division rounds 2*pi*k/n
+    differently for some n that are not powers of two.)
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, k: int) -> complex:
+        return np.exp(2j * np.pi * np.arange(k, k + 1) / self.n)[0]
+
+
 def _circle_verdict(margins: np.ndarray, r: float, n: int) -> MembershipVerdict:
-    """Verdict on the n samples of |z| = r; the witness is ``r * exp(2j*pi*k/n)``."""
-    axes = np.array([r]), np.exp(2j * np.pi * np.arange(n) / n)
-    return verdict_from_margins(margins, axes, f"{n} samples on circle r={r}")
+    """Verdict on the n samples of |z| = r; the witness is ``r * exp(2j*pi*k/n)`` at the argmin k."""
+    return verdict_from_margins(margins, (np.array([r]), _UnitRoots(n)), f"{n} samples on circle r={r}")
 
 
 def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
     """Sampled test that the circle image winds monotonically about the origin.
 
     The angular rate of arg f(r e^{i theta}) equals Im[(d/dtheta f) / f];
-    the verdict holds when its sampled minimum is positive.  A zero of f on
-    the circle is an error, not a verdict: the origin is not cleanly enclosed.
+    the verdict holds when its sampled minimum is positive.  f and
+    d/dtheta f come from one fold and one FFT.  A zero of f on the circle is
+    an error, not a verdict: the origin is not cleanly enclosed.
     """
     r, n = _check_circle_args(r, n)
-    fv = f.rings([r], n)[0]
+    fv, rate = _ring_orders(f, np.array([r]), n, (0, 1))[:, 0]
     if float(np.min(np.abs(fv))) < _VALUE_FLOOR:
         raise DegenerateCurveError(f"map value vanishes on circle r={r}")
-    return _circle_verdict(np.imag(f.rings([r], n, 1)[0] / fv), r, n)
+    return _circle_verdict(np.imag(rate / fv), r, n)
 
 
 def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:

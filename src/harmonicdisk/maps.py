@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError, _as_complex, _as_count, _as_real
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _fold, _ring_radii, eval_rings
+from .series import COEFF_TOL, DEFAULT_ORDER, TruncatedSeries, _eval_stack, _fold, _ring_radii, _stack
 
 #: A holding sense-preservation verdict with margin below this is flagged
 #: near-degenerate: extremal maps attain equality only as |z| -> 1, so
@@ -93,23 +93,12 @@ class HarmonicMap:
     def rings(self, radii, n: int, j: int = 0) -> np.ndarray:
         """(d/dtheta)^j f at ``radii[i] * exp(2j*pi*k/n)``, j = 0 or 1, by one inverse DFT.
 
-        d/dtheta multiplies the coefficient of z^k by ik in s and in t alike;
-        j = 0 evaluates the stored series as they are.  On ``|z| = r`` the
-        term ``conj(t_k z^k)`` is ``conj(t_k) r^k exp(-2j*pi*k*m/n)``, so t's
-        coefficients, conjugated, fold onto index ``-k mod n`` beside s's on
-        ``k mod n``, and one FFT gives f.
+        The one-order case of :func:`_ring_orders`: s and t share one fold.
         """
         if _as_count(j, "ring derivative order") > 1:
             raise DomainError(f"ring derivative order must be 0 or 1, got {j}")
         radii, n = _ring_radii(radii), _as_count(n, "ring sample count n", 1)
-        s, t = self.s.coeffs, self.t.coeffs
-        if j == 1:
-            s, t = (c * (1j * np.arange(len(c))) for c in (s, t))
-        folded, conj_t = _fold(s, radii, n), _fold(np.conj(t), radii, n)
-        # column m of conj_t goes to column -m mod n: 0 stays, 1..n-1 reverse
-        folded[:, 0] += conj_t[:, 0]
-        folded[:, :0:-1] += conj_t[:, 1:]
-        return np.fft.ifft(folded, axis=-1, norm="forward")
+        return _ring_orders(self, radii, n, (j,))[0]
 
     def analytic_slice(self, eps: complex) -> TruncatedSeries:
         """The analytic function ``s + eps*t`` for unimodular eps.
@@ -124,6 +113,29 @@ class HarmonicMap:
             raise DomainError(f"slice parameter must satisfy |eps| = 1, got |eps| = {abs(eps)}")
         n = max(self.s.order, self.t.order)
         return TruncatedSeries._derived(self.s.pad_to(n).coeffs + eps * self.t.pad_to(n).coeffs)
+
+
+def _ring_orders(f: HarmonicMap, radii: np.ndarray, n: int, orders) -> np.ndarray:
+    """(d/dtheta)^j f on the rings for each j (0 or 1) in *orders*, shape ``(len(orders), len(radii), n)``.
+
+    d/dtheta multiplies the coefficient of z^k by ik in s and in t alike;
+    j = 0 evaluates the stored series as they are.  On ``|z| = r`` the term
+    ``conj(t_k z^k)`` is ``conj(t_k) r^k exp(-2j*pi*k*m/n)``, so the rows
+    ``s (ik)^j`` and ``conj(t (ik)^j)`` of every order are folded in one
+    :func:`~harmonicdisk.series._fold`, which computes each block of radius
+    powers once; each conj(t) row then moves onto index ``-k mod n`` beside
+    its s row, and one FFT over the stack gives every order.
+    """
+    rows = []
+    for j in orders:
+        s, t = (c * (1j * np.arange(len(c))) if j else c for c in (f.s.coeffs, f.t.coeffs))
+        rows += [s, np.conj(t)]
+    folded = _fold(_stack(*rows), radii, n)
+    folded, conj_t = folded[0::2], folded[1::2]
+    # column m of conj_t goes to column -m mod n: 0 stays, 1..n-1 reverse
+    folded[..., 0] += conj_t[..., 0]
+    folded[..., :0:-1] += conj_t[..., 1:]
+    return np.fft.ifft(folded, axis=-1, norm="forward")
 
 
 def identity_map(order: int = 1) -> HarmonicMap:
@@ -169,8 +181,7 @@ def sense_preserving_check(f: HarmonicMap, grid: PolarGrid | None = None) -> Mem
     """
     grid = grid or PolarGrid()
     radii = grid.radii()
-    sp = eval_rings(f.s.derivative(), radii, grid.n_angles)
-    tp = eval_rings(f.t.derivative(), radii, grid.n_angles)
+    sp, tp = _eval_stack(_stack(f.s.derivative().coeffs, f.t.derivative().coeffs), radii, grid.n_angles)
     margins = np.abs(sp) - np.abs(tp)
     v = verdict_from_margins(margins, (radii, grid.phases()), grid.describe())
     return replace(v, near_degenerate=v.holds and v.margin < NEAR_DEGENERATE_MARGIN)

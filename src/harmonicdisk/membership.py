@@ -21,24 +21,25 @@ names a sampled violating point.
 
 L maps z^m to (weight(m)/2)*z^(m-1), with weight the coefficient weight of
 :meth:`ClassParams.coefficient_weight`, so :func:`operator_coeffs` applies it
-with one multiply per coefficient, and the circle is sampled with
-:func:`~harmonicdisk.series.eval_rings` (one FFT).  :func:`membership_sampled`
-still samples every ring of its grid and, like :func:`apply_operator`,
-evaluates L through the three formal derivatives with the Horner kernel: the
-benchmark's smoke test pins the former's calls, and a test pins the latter
-bit for bit to ``polyval``.
+with one multiply per coefficient, and the circle is sampled by one fold
+and one FFT: :func:`slice_membership_sampled` folds ``L s`` and ``L t``
+together.  :func:`membership_sampled` still samples every ring of its grid
+and, like :func:`apply_operator`, evaluates L through the three formal
+derivatives with the Horner kernel: the benchmark's smoke test pins the
+former's calls, and a test pins the latter bit for bit to ``polyval``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import _as_complex, _as_count
+from .errors import DomainError, _as_complex, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import TruncatedSeries, eval_many, eval_rings
+from .series import TruncatedSeries, _eval_stack, _stack, eval_many, eval_rings
 
 
 def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
@@ -80,10 +81,18 @@ def _coefficient_sum(p: ClassParams, a: np.ndarray, b: np.ndarray) -> float:
     """sum over m >= 2 of weight(m) * (|a[m]| + |b[m]|) for equal-length arrays.
 
     Moduli use hypot, which matches Python's ``abs`` of a complex bit for bit.
+    A weight can overflow to inf for a large finite delta; the term of a zero
+    modulus is 0 whatever its weight, so only the terms of nonzero moduli
+    enter the sum.  A sum that still overflows is a DomainError, not a total.
     """
     a, b = a[2:], b[2:]
     moduli = np.hypot(a.real, a.imag) + np.hypot(b.real, b.imag)
-    return float(np.sum(p.coefficient_weight(np.arange(2.0, len(a) + 2)) * moduli))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = p.coefficient_weight(np.arange(2.0, len(a) + 2)) * moduli
+        total = float(np.sum(np.where(moduli > 0.0, terms, 0.0)))
+    if not math.isfinite(total):
+        raise DomainError(f"coefficient sum is not finite ({total}): the weighted moduli overflowed")
+    return total
 
 
 def membership_sufficient(f: HarmonicMap, p: ClassParams) -> SufficientCondition:
@@ -127,8 +136,8 @@ def slice_membership_sampled(
     n_eps = _as_count(n_eps, "n_eps", 4)
     grid = grid or PolarGrid()
     ring = grid.radii()[-1:]
-    ls = eval_rings(operator_coeffs(f.s, p), ring, grid.n_angles)
-    lt = eval_rings(operator_coeffs(f.t, p), ring, grid.n_angles)
+    rows = _stack(operator_coeffs(f.s, p).coeffs, operator_coeffs(f.t, p).coeffs)
+    ls, lt = _eval_stack(rows, ring, grid.n_angles)
     eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
     # one eps at a time, so memory does not grow with n_eps
     margins = np.real(ls + eps[0] * lt) - p.lam

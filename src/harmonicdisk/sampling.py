@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,14 +86,19 @@ class MembershipVerdict:
 
 
 def verdict_from_margins(
-    margins: np.ndarray, axes: tuple[np.ndarray, np.ndarray], description: str
+    margins: np.ndarray,
+    axes: tuple[Sequence[float] | np.ndarray, Sequence[complex] | np.ndarray],
+    description: str,
 ) -> MembershipVerdict:
     """Reduce margins sampled on rings to a verdict.
 
     *axes* is the pair ``(radii, phases)``: the margin at ``[i, j]`` belongs
     to the point ``radii[i] * phases[j]``, and only the witness point is
     formed (for a polar grid's axes it is bitwise equal to
-    ``PolarGrid.points()[i, j]``).
+    ``PolarGrid.points()[i, j]``).  Each axis may be any sequence with
+    ``len`` and integer indexing: only ``len(phases)`` and the two entries
+    at the argmin are read, so an axis can form its entries on demand
+    (``geometry._circle_verdict`` names a circle's witness that way).
 
     The reduction is deterministic regardless of evaluation order: the
     argmin is taken over the C-order flattening, so ties break on the

@@ -20,6 +20,13 @@ ring is ``conj(t_k) r**k`` at frequency -k, so
 :meth:`~harmonicdisk.maps.HarmonicMap.rings` folds t's coefficients,
 conjugated, onto index ``-k mod n`` beside s's and runs one inverse FFT.
 
+One fold per check: a check folds every series it samples in one
+:func:`_fold` call on a stack of coefficient rows, so each block of radius
+powers is computed once for all rows, and then runs one inverse FFT over
+the stack
+(:func:`_eval_stack`).  Each row's values are bitwise those of the series
+folded and transformed alone; :func:`eval_rings` is the one-row case.
+
 Public constructors validate; a series derived from a valid series
 (derivatives, padding, the operator and slice series) is
 built by :meth:`TruncatedSeries._derived` and is not copied or re-scanned.
@@ -265,17 +272,40 @@ def _ring_radii(radii) -> np.ndarray:
 
 
 def _fold(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
-    """``coeffs[k] * radii[i]**k`` summed onto column ``k mod n``, shape ``(len(radii), n)``.
+    """``coeffs[..., k] * radii[i]**k`` summed onto column ``k mod n``, shape ``(..., len(radii), n)``.
 
-    The coefficients are folded one block of n at a time, so no temporary is
-    larger than the result; its inverse DFT along the angles gives the ring
-    values.
+    *coeffs* is one coefficient row of length K or a stack of such rows,
+    shape ``(..., K)``.  The rows are folded one block of n indices at a
+    time, and the block's radius powers are computed once for every row.
+    The inverse DFT of the result along the angles gives the ring values.
     """
-    folded = np.zeros((len(radii), n), dtype=np.complex128)
-    for k0 in range(0, len(coeffs), n):
-        k = np.arange(k0, min(k0 + n, len(coeffs)), dtype=np.float64)
-        folded[:, : len(k)] += coeffs[k0 : k0 + n] * _radius_powers(radii, k)
+    folded = np.zeros((*coeffs.shape[:-1], len(radii), n), dtype=np.complex128)
+    order = coeffs.shape[-1]
+    for k0 in range(0, order, n):
+        k = np.arange(k0, min(k0 + n, order), dtype=np.float64)
+        folded[..., : len(k)] += coeffs[..., None, k0 : k0 + n] * _radius_powers(radii, k)
     return folded
+
+
+def _stack(*coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient arrays as the rows of one array, zero-padded to the longest.
+
+    The padding zeros fold to exact zeros (see :func:`_fold`), so a row of
+    the stack folds to the bits of the array folded alone.
+    """
+    rows = np.zeros((len(coeffs), max(len(c) for c in coeffs)), dtype=np.complex128)
+    for row, c in zip(rows, coeffs):
+        row[: len(c)] = c
+    return rows
+
+
+def _eval_stack(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
+    """Ring values of each coefficient row of *coeffs*, shape ``(..., len(radii), n)``: one fold, one FFT.
+
+    ``numpy.fft`` is reached at call time, because ``import numpy`` does not
+    load it.
+    """
+    return np.fft.ifft(_fold(coeffs, radii, n), axis=-1, norm="forward")
 
 
 def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
@@ -284,12 +314,11 @@ def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
     On the ring ``|z| = r`` the n samples are the inverse DFT of the
     coefficients ``c[k] * r**k``, with index k folded onto ``k mod n`` when
     the order reaches n (:func:`_fold`); one FFT along the angles then gives
-    every ring.  ``numpy.fft`` is reached at call time, because ``import
-    numpy`` does not load it.
+    every ring.  This is the one-row case of :func:`_eval_stack`.
     """
     radii = _ring_radii(radii)
     n = _as_count(n, "ring sample count n", 1)
-    return np.fft.ifft(_fold(series.coeffs, radii, n), axis=-1, norm="forward")
+    return _eval_stack(series.coeffs, radii, n)
 
 
 def _radius_powers(radii: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ import numpy as np
 from harmonicdisk import ClassParams, HarmonicMap, MembershipVerdict, PolarGrid, TruncatedSeries
 from harmonicdisk.bounds import _envelope
 from harmonicdisk.geometry import TURNING_TOL
+from harmonicdisk.maps import NEAR_DEGENERATE_MARGIN
+from harmonicdisk.membership import operator_coeffs
 from harmonicdisk.sampling import verdict_from_margins
-from harmonicdisk.series import eval_many
+from harmonicdisk.series import _radius_powers, eval_many
 
 
 def random_params(rng: np.random.Generator) -> ClassParams:
@@ -188,4 +190,82 @@ def convex_on_circle_horner(f: HarmonicMap, r: float, n: int = 1024) -> Membersh
     if abs(total - 2.0 * np.pi) > TURNING_TOL:
         margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
         return replace(v, holds=False, margin=margin)
+    return v
+
+
+# -- per-series fold references of the ring-sampled checks ----------------------
+#
+# The library folds every series a check samples in one ``series._fold`` call
+# (one table of radius powers per block, shared by every row) and runs one
+# FFT over the stack.  These references fold each series alone, every block,
+# and run one FFT per series, as the library did before; tests compare the two
+# bit for bit.
+
+
+def fold_per_series(coeffs: np.ndarray, radii, n: int) -> np.ndarray:
+    """``coeffs[k] * radii[i]**k`` summed onto column ``k mod n``, one series."""
+    radii = np.asarray(radii, dtype=np.float64)
+    folded = np.zeros((len(radii), n), dtype=np.complex128)
+    for k0 in range(0, len(coeffs), n):
+        k = np.arange(k0, min(k0 + n, len(coeffs)), dtype=np.float64)
+        folded[:, : len(k)] += coeffs[k0 : k0 + n] * _radius_powers(radii, k)
+    return folded
+
+
+def eval_rings_per_series(series: TruncatedSeries, radii, n: int) -> np.ndarray:
+    return np.fft.ifft(fold_per_series(series.coeffs, radii, n), axis=-1, norm="forward")
+
+
+def rings_per_series(f: HarmonicMap, radii, n: int, j: int = 0) -> np.ndarray:
+    """(d/dtheta)^j f on the rings from a fold of s and a separate fold of conj(t)."""
+    s, t = f.s.coeffs, f.t.coeffs
+    if j == 1:
+        s, t = (c * (1j * np.arange(len(c))) for c in (s, t))
+    folded, conj_t = fold_per_series(s, radii, n), fold_per_series(np.conj(t), radii, n)
+    folded[:, 0] += conj_t[:, 0]
+    folded[:, :0:-1] += conj_t[:, 1:]
+    return np.fft.ifft(folded, axis=-1, norm="forward")
+
+
+def sense_preserving_per_series(f: HarmonicMap, grid: PolarGrid) -> MembershipVerdict:
+    radii = grid.radii()
+    sp = eval_rings_per_series(f.s.derivative(), radii, grid.n_angles)
+    tp = eval_rings_per_series(f.t.derivative(), radii, grid.n_angles)
+    v = verdict_from_margins(np.abs(sp) - np.abs(tp), grid_axes(grid), grid.describe())
+    return replace(v, near_degenerate=v.holds and v.margin < NEAR_DEGENERATE_MARGIN)
+
+
+def slice_membership_per_series(
+    f: HarmonicMap, p: ClassParams, n_eps: int, grid: PolarGrid
+) -> MembershipVerdict:
+    ring = grid.radii()[-1:]
+    ls = eval_rings_per_series(operator_coeffs(f.s, p), ring, grid.n_angles)
+    lt = eval_rings_per_series(operator_coeffs(f.t, p), ring, grid.n_angles)
+    eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
+    margins = np.real(ls + eps[0] * lt) - p.lam
+    for e in eps[1:]:
+        np.minimum(margins, np.real(ls + e * lt) - p.lam, out=margins)
+    circle = f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)"
+    where = f"where the {grid.describe()} has its minimum (minimum principle)"
+    v = verdict_from_margins(margins, (ring, grid.phases()), f"{n_eps} slice values on {circle}, {where}")
+    v = v if v.holds else replace(v, evidence=f"{v.evidence} on {circle}")
+    return replace(v, samples=n_eps * margins.size)
+
+
+def starlike_on_circle_per_series(f: HarmonicMap, r: float, n: int) -> MembershipVerdict:
+    fv, rate = rings_per_series(f, [r], n)[0], rings_per_series(f, [r], n, 1)[0]
+    return verdict_from_margins(np.imag(rate / fv), circle_axes(r, n), f"{n} samples on circle r={r}")
+
+
+def convex_on_circle_per_series(f: HarmonicMap, r: float, n: int) -> MembershipVerdict:
+    raw = np.angle(rings_per_series(f, [r], n, 1)[0])
+    steps = np.diff(raw, append=raw[:1])
+    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    total = float(np.sum(steps))
+    rates = (steps + np.roll(steps, 1)) / (2.0 * (2.0 * np.pi / n))
+    v = verdict_from_margins(rates, circle_axes(r, n), f"{n} samples on circle r={r}")
+    if abs(total - 2.0 * np.pi) > TURNING_TOL:
+        margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))
+        evidence = f"total tangent turning {total:.6f} != 2*pi (turning number != 1)"
+        return replace(v, holds=False, margin=margin, evidence=evidence)
     return v

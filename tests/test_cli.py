@@ -67,6 +67,34 @@ class TestRadiiCommand:
         code, out = run(capsys, ["radii"])
         assert code == 2 and "error" in out
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "radii",
+            # report first samples the growth envelope, whose class weights
+            # overflow to inf with a numpy warning; it stays a warning, as it
+            # does for the command-line tool
+            pytest.param("report", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ],
+    )
+    def test_internal_consistency_error_exits_three(self, capsys, tmp_path, command):
+        # at delta = 1e307 the starlike quadratic cancels to p(1) = 0, so the
+        # bracketed bisection finds no sign change: a fault, not bad input
+        path = tmp_path / "huge_delta.json"
+        f = HarmonicMap(TruncatedSeries([0, 1, 0.01]), TruncatedSeries([0, 0, 0.01]))
+        save_map(f, path, params=ClassParams(1, 1e307, 0))
+        argv = {
+            "radii": ["radii", "--gamma", "1", "--delta", "1e307", "--lambda", "0"],
+            "report": ["report", "--in", str(path)],
+        }[command]
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["error"].startswith(
+            "internal error: InternalConsistencyError: starlike quadratic: expected sign change"
+        )
+        assert "Traceback" in captured.err
+
 
 class TestCheckCommand:
     def test_holding_map_exits_zero(self, capsys, extremal_doc):

@@ -168,3 +168,18 @@ class TestRandomMember:
         rng = np.random.default_rng(73)
         with pytest.raises(DomainError):
             random_member(P110, rng, u=1.5)
+
+    def test_overflowing_weight_is_a_domain_error(self):
+        """A drawn coefficient at m >= 3 meets a weight that overflows to inf at delta 1e307."""
+        rng = np.random.default_rng(79)
+        with pytest.raises(DomainError, match="coefficient sum is not finite"):
+            random_member(ClassParams(1, 1e307, 0), rng, order=16)
+
+    def test_finite_weight_hits_target_at_large_delta(self):
+        """Order 2 draws index 2 alone, whose weight 4e307 is finite: the sum is scaled, not dropped."""
+        p = ClassParams(1, 1e307, 0)
+        f = random_member(p, np.random.default_rng(83), order=2, u=0.5)
+        assert np.any(f.s.coeffs[2:] != 0) or np.any(f.t.coeffs[2:] != 0)
+        cond = membership_sufficient(f, p)
+        assert cond.holds
+        assert cond.total == pytest.approx(0.5 * p.coefficient_budget(), rel=1e-12)

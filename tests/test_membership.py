@@ -153,6 +153,23 @@ class TestSufficientCondition:
         assert membership_sufficient(f, p).total == pytest.approx(expected, rel=1e-15)
 
 
+    def test_zero_coefficients_ignore_overflowing_weights(self):
+        # at delta = 1e307 the weights of m >= 3 overflow to inf, but the only
+        # nonzero coefficient is b_2 = 1/4, so the sum is weight(2) / 4
+        f = make_extremal_single(P110, 2, order=64)
+        p = ClassParams(1, 1e307, 0)
+        cond = membership_sufficient(f, p)
+        assert cond.total == p.coefficient_weight(2) * 0.25 == 1e307
+        assert not cond.holds and cond.budget == 2.0
+
+    def test_overflowing_sum_is_a_domain_error(self):
+        # b_3 is nonzero, and its weight at delta = 1e307 overflows to inf
+        f = make_extremal_single(P110, 3, order=64)
+        message = r"coefficient sum is not finite \(inf\): the weighted moduli overflowed"
+        with pytest.raises(DomainError, match=message):
+            membership_sufficient(f, ClassParams(1, 1e307, 0))
+
+
 class TestMembershipSampled:
     def test_identity_margin_is_gamma_minus_lambda(self):
         rng = np.random.default_rng(29)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from harmonicdisk import (
+    ClassParams,
     DomainError,
     HarmonicMap,
     PolarGrid,
@@ -26,6 +27,7 @@ from harmonicdisk import (
     growth_envelope_check,
     half_plane_check,
     make_extremal_full,
+    make_extremal_single,
     numeric_radius_oracle,
     operator_coeffs,
     sense_preserving_check,
@@ -33,6 +35,7 @@ from harmonicdisk import (
     starlike_on_circle,
 )
 from harmonicdisk import geometry
+from harmonicdisk import series as series_module
 from harmonicdisk.closure import random_member
 from harmonicdisk.sampling import verdict_from_margins
 from harmonicdisk.series import eval_rings
@@ -291,3 +294,146 @@ def test_grid_axes_are_computed_once_and_read_only(grid):
     assert grid == twin == fresh
     assert hash(grid) == hash(twin) == hash(fresh)
     assert repr(grid) == repr(twin) == repr(fresh) == f"PolarGrid(max_radius={R}, n_radii={n_r}, n_angles={n_a})"
+
+
+# -- one fold per check ------------------------------------------------------------
+#
+# Every ring check folds all the series it samples in one ``series._fold`` call
+# and runs one FFT over the stack.  The per-series folds in ``helpers`` are the
+# former path; every array and every verdict field must match them bit for bit.
+
+FOLD_N = 64
+
+
+def _sparse(order: int) -> HarmonicMap:
+    """z + c z^order beside t = 0.1 z^2: every block between the first and the last is all zero."""
+    s = np.zeros(order + 1, dtype=np.complex128)
+    s[1], s[order] = 1.0, 0.3 + 0.1j
+    return HarmonicMap(TruncatedSeries(s), TruncatedSeries.monomial(2, 0.1, order=2))
+
+
+def _fold_cases():
+    """(label, params, map, n): orders n-1, n, n+1 and 3n+5, t = 0, sparse blocks, order 4096."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    n = FOLD_N
+    for order in (n - 1, n, n + 1, 3 * n + 5):
+        p = random_params(rng)
+        cases.append((f"o{order}-member", p, random_member(p, rng, order=order, max_terms=order // 4), n))
+        cases.append((f"o{order}-t-zero", p, make_extremal_full(p, order), n))
+    for s_order, t_order in ((3 * n + 5, n + 1), (n + 1, 3 * n + 5)):
+        f = helpers.mixed_order_map(rng, s_order, t_order)
+        cases.append((f"o{s_order}-and-o{t_order}", random_params(rng), f, n))
+    cases.append((f"o{3 * n + 5}-sparse", ClassParams(1, 1, 0), _sparse(3 * n + 5), n))
+    p = ClassParams(1, 1, 0)
+    cases.append(("o4096-t-zero", p, make_extremal_full(p, 4096), 4096))
+    cases.append(("o4096-single", p, make_extremal_single(p, 2, order=4096), 4096))
+    return cases
+
+
+FOLD_CASES = _fold_cases()
+FOLD_IDS = [case[0] for case in FOLD_CASES]
+# r = 0.001 makes r^k underflow past k of about 110, so most powers of an order-4096 series are 0
+FOLD_RADII = [0.001, 0.3, 0.7, 0.999]
+
+
+def _bits(v):
+    """Every field of a verdict, the floats by their bytes."""
+    return (
+        v.holds,
+        np.float64(v.margin).tobytes(),
+        np.complex128(v.witness).tobytes(),
+        v.samples,
+        v.near_degenerate,
+        v.evidence,
+    )
+
+
+@pytest.mark.parametrize("label, p, f, n", FOLD_CASES, ids=FOLD_IDS)
+class TestSharedFold:
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_rings(self, label, p, f, n, j):
+        out = f.rings(FOLD_RADII, n, j)
+        assert out.tobytes() == helpers.rings_per_series(f, FOLD_RADII, n, j).tobytes()
+        for h in (f.s, f.t):
+            ref = helpers.eval_rings_per_series(h, FOLD_RADII, n)
+            assert eval_rings(h, FOLD_RADII, n).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("max_radius", [0.001, 0.95])
+    def test_sense_and_slices(self, label, p, f, n, max_radius):
+        grid = PolarGrid(max_radius=max_radius, n_radii=5, n_angles=n)
+        assert _bits(sense_preserving_check(f, grid)) == _bits(helpers.sense_preserving_per_series(f, grid))
+        v, ref = slice_membership_sampled(f, p, 8, grid), helpers.slice_membership_per_series(f, p, 8, grid)
+        assert _bits(v) == _bits(ref)
+
+    @pytest.mark.parametrize("r", FOLD_RADII)
+    def test_circle_tests(self, label, p, f, n, r):
+        assert _bits(starlike_on_circle(f, r, n)) == _bits(helpers.starlike_on_circle_per_series(f, r, n))
+        assert _bits(convex_on_circle(f, r, n)) == _bits(helpers.convex_on_circle_per_series(f, r, n))
+
+
+def test_one_power_table_per_block(monkeypatch):
+    """The radius powers of a block are computed once for all rows."""
+    calls = []
+    powers = series_module._radius_powers
+
+    def counted(radii, k):
+        calls.append(int(k[0]))
+        return powers(radii, k)
+
+    monkeypatch.setattr(series_module, "_radius_powers", counted)
+    n = FOLD_N
+    f = _sparse(3 * n + 5)
+    # s (order 3n + 5) spans blocks 0 to 3; t has order 2
+    for call in (
+        lambda: eval_rings(f.s, [0.5], n),
+        lambda: f.rings([0.5, 0.9], n),
+        lambda: f.rings([0.5], n, 1),
+        lambda: starlike_on_circle(f, 0.5, n),
+        lambda: convex_on_circle(f, 0.5, n),
+    ):
+        calls.clear()
+        call()
+        assert calls == [0, n, 2 * n, 3 * n]
+    calls.clear()
+    slice_membership_sampled(f, ClassParams(1, 1, 0), 4, PolarGrid(0.9, 3, n))
+    sense_preserving_check(f, PolarGrid(0.9, 3, n))
+    assert calls == [0, n, 2 * n, 3 * n] * 2
+
+
+# -- the witness of a circle test ---------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0.3, 1 / 3, 0.999])
+@pytest.mark.parametrize("n", [4, 6, 333, 512, 1000, 4096])
+def test_circle_witness_is_the_indexed_root(n, r):
+    """_circle_verdict forms only the witness at the argmin, bitwise the element of the n roots.
+
+    n = 6, 333 and 1000 are not powers of two, so 2*pi*k/n is rounded; a
+    scalar ``np.exp(2j * np.pi * k / n)`` differs there in the last bits.
+    """
+    points = r * np.exp(2j * np.pi * np.arange(n) / n)
+    margins = np.ones(n)
+    for k in range(n):
+        margins[k] = -1.0
+        w = geometry._circle_verdict(margins, r, n).witness
+        margins[k] = 1.0
+        assert np.complex128(w).tobytes() == points[k].tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 512, 4096])
+def test_circle_witness_ties_take_the_first_index(n):
+    margins = np.ones(n)
+    margins[[n // 4, n // 2, n - 1]] = -0.5
+    v = geometry._circle_verdict(margins, 0.7, n)
+    points = 0.7 * np.exp(2j * np.pi * np.arange(n) / n)
+    assert np.complex128(v.witness).tobytes() == points[n // 4].tobytes()
+    assert v.margin == -0.5 and v.samples == n
+
+
+@pytest.mark.parametrize("n", [4, 512, 4096])
+def test_circle_nan_margin_is_a_domain_error(n):
+    margins = np.ones(n)
+    margins[n // 2] = np.nan
+    with pytest.raises(DomainError, match=r"sampled margin is not finite \(nan\)"):
+        geometry._circle_verdict(margins, 0.7, n)
