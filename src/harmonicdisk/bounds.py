@@ -7,25 +7,32 @@ For a member of the inequality class the moduli satisfy, for every m >= 2,
 
 and |f(z)| is pinched between two explicit series in |z| that share one
 term sequence: the upper envelope sums it, the lower one alternates its
-signs.  ``_envelope`` builds those terms once for an array of radii; a
-per-radius bound (``growth_upper``, ``growth_lower``) is its one-row case, so
-it equals the row that ``growth_envelope_check`` uses at that radius.  The
-check samples |f| on every ring with ``HarmonicMap.rings`` (one fold of s
-and conj(t), which share each table of radius powers, and one FFT), so its
-values agree with a Horner evaluation to rounding.  Bounds are necessary conditions, so a violation disproves
-membership; reports therefore record slacks instead of raising.
+signs.  ``_envelope`` sums those terms for an array of radii in blocks of
+m; a per-radius bound (``growth_upper``, ``growth_lower``) is its one-row
+case.  ``growth_envelope_check`` needs the same powers r^k for the envelope
+and for |f| on every ring, so it computes each block's table of powers once:
+it folds s and conj(t) from the table as ``HarmonicMap.rings`` does, then
+overwrites the table with the terms, with the blocks and operations of
+``_envelope``.  Its envelope rows are therefore bitwise the per-radius
+bounds, and its ring values bitwise those of ``rings``, which agree with a
+Horner evaluation to rounding.  ``coefficient_bound_check`` builds its
+rows from nine columns, without a class call per row, and reduces
+``all_within`` from the slack columns.  Bounds are necessary conditions, so
+a violation disproves membership; reports therefore record slacks instead
+of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import _as_count, _as_real
-from .maps import ClassParams, HarmonicMap
+from .maps import ClassParams, HarmonicMap, _ring_rows, _ring_values
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import DEFAULT_ORDER, _radius_powers
+from .series import DEFAULT_ORDER, _fold_powers, _radius_powers
 
 
 @dataclass(frozen=True)
@@ -42,15 +49,47 @@ class BoundRow:
     slack_sum: float
     slack_diff: float
 
+    @classmethod
+    def _from_columns(cls, columns) -> tuple["BoundRow", ...]:
+        """One row per index of *columns*, nine 1-d arrays in field order.
+
+        Each row gets the nine stores of the frozen ``__init__``, without a
+        class call and an argument unpacking per row.  The values stay in the
+        instance's inline slots: filling ``__dict__`` instead makes a second
+        tracked object per row, which brings on full garbage collections,
+        and attribute reads on a materialized dict are slower.
+        """
+        new, put = object.__new__, object.__setattr__
+        rows = []
+        for m, abs_a, abs_b, bound_a, bound_b, slack_a, slack_b, slack_sum, slack_diff in zip(
+            *(c.tolist() for c in columns)
+        ):
+            row = new(cls)
+            put(row, "m", m)
+            put(row, "abs_a", abs_a)
+            put(row, "abs_b", abs_b)
+            put(row, "bound_a", bound_a)
+            put(row, "bound_b", bound_b)
+            put(row, "slack_a", slack_a)
+            put(row, "slack_b", slack_b)
+            put(row, "slack_sum", slack_sum)
+            put(row, "slack_diff", slack_diff)
+            rows.append(row)
+        return tuple(rows)
+
+
+#: A slack at or above this is within its bound (rounding of the bound itself).
+_SLACK_TOL = -1e-12
+
 
 @dataclass(frozen=True)
 class BoundReport:
     rows: tuple[BoundRow, ...]
 
-    @property
+    @cached_property
     def all_within(self) -> bool:
         return all(
-            min(r.slack_a, r.slack_b, r.slack_sum, r.slack_diff) >= -1e-12 for r in self.rows
+            min(r.slack_a, r.slack_b, r.slack_sum, r.slack_diff) >= _SLACK_TOL for r in self.rows
         )
 
     def row(self, m: int) -> BoundRow:
@@ -61,18 +100,26 @@ class BoundReport:
 
 
 def coefficient_bound_check(f: HarmonicMap, p: ClassParams) -> BoundReport:
-    """Slack of every coefficient bound for m = 2..order of the map."""
+    """Slack of every coefficient bound for m = 2..order of the map.
+
+    The rows come from nine columns, and ``all_within`` is reduced from the
+    four slack columns.  A NaN slack reads as violated; it only arises when
+    both moduli overflow to inf, and then ``slack_a`` is -inf, so the row
+    loop of ``all_within`` gives the same answer.
+    """
     m = np.arange(2, f.order + 1)
     bound_b = p.coefficient_budget() / p.coefficient_weight(m)
     bound_a = 2.0 * bound_b
     # hypot matches Python's abs of a complex bit for bit; np.abs does not
     a, b = f.s.pad_to(f.order).coeffs[2:], f.t.pad_to(f.order).coeffs[2:]
     abs_a, abs_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
-    columns = (
-        m, abs_a, abs_b, bound_a, bound_b,
+    slacks = (
         bound_a - abs_a, bound_b - abs_b, bound_a - (abs_a + abs_b), bound_a - np.abs(abs_a - abs_b),
     )
-    return BoundReport(rows=tuple(BoundRow(*row) for row in zip(*(c.tolist() for c in columns))))
+    report = BoundReport(rows=BoundRow._from_columns((m, abs_a, abs_b, bound_a, bound_b, *slacks)))
+    # cached_property reads the instance dict first, so this is the property's value
+    report.__dict__["all_within"] = bool(np.all(np.array(slacks) >= _SLACK_TOL))
+    return report
 
 
 @dataclass(frozen=True)
@@ -84,36 +131,60 @@ class GrowthEstimate:
     n_terms: int
 
 
+def _block_columns(radii: np.ndarray) -> int:
+    """Columns of one (radius, m) block: at least 4096, and about 2^16 terms."""
+    return max(4096, 2**16 // len(radii))
+
+
+def _add_terms(p: ClassParams, powers: np.ndarray, m: np.ndarray, sums: np.ndarray) -> bool:
+    """Turn *powers*, the block r^m, into the terms 2*(gamma-lam)*r^m/weight(m) in place; add them up.
+
+    ``sums[0]`` takes the terms, ``sums[1]`` the terms with the signs of the
+    lower envelope, negative at even m; negating in place is exact, so that
+    sum is bitwise the sum of ``signs * terms``.  Returns False, adding
+    nothing, when every term is 0.
+    """
+    powers *= 2.0 * p.coefficient_budget()
+    powers /= p.coefficient_weight(m)
+    if not powers.any():
+        return False
+    sums[0] += np.sum(powers, axis=-1)
+    even = powers[:, int(m[0]) % 2 :: 2]
+    np.negative(even, out=even)
+    sums[1] += np.sum(powers, axis=-1)
+    return True
+
+
+def _with_tails(p: ClassParams, radii: np.ndarray, n_terms: int, sums: np.ndarray) -> tuple:
+    """Upper value, upper tail, lower value and lower tail from the sums of :func:`_add_terms`."""
+    scale = 2.0 * p.coefficient_budget()
+    tail_power = radii ** (n_terms + 1)
+    return (
+        radii + sums[0],
+        scale / (n_terms * n_terms * 2.0 * p.gamma) * tail_power / (1.0 - radii),
+        radii + sums[1],
+        scale * tail_power / p.coefficient_weight(n_terms + 1),
+    )
+
+
 def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarray, ...]:
     """Upper value, upper tail, lower value and lower tail at each radius.
 
     The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
-    (radius, m) blocks of at least 4096 columns and about 2^16 terms, so
-    memory stays bounded for any N; a sum that fits one block is one array
-    reduction.  The terms decrease in m and r^m underflows to 0, so once a
-    whole block is 0 every later block is too: the sums stop there, and they
-    are still bitwise the N-term sums, while the tails are those of N.
+    (radius, m) blocks of :func:`_block_columns` columns, so memory stays
+    bounded for any N; a sum that fits one block is one array reduction.
+    The terms decrease in m and r^m underflows to 0, so once a whole block
+    is 0 every later block is too: the sums stop there, and they are still
+    bitwise the N-term sums, while the tails are those of N.
     """
     n_terms = _as_count(n_terms, "n_terms", 2)
-    scale = 2.0 * p.coefficient_budget()
-    upper = np.zeros_like(radii)
-    lower = np.zeros_like(radii)
-    cols = max(4096, 2**16 // len(radii))
+    sums = np.zeros((2, len(radii)))
+    cols = _block_columns(radii)
     for m0 in range(2, n_terms + 1, cols):
         m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
-        terms = scale * _radius_powers(radii, m) / p.coefficient_weight(m)
-        if not terms.any():
+        if not _add_terms(p, _radius_powers(radii, m), m, sums):
             break
-        signs = np.where(m % 2 == 0, -1.0, 1.0)
-        upper += np.sum(terms, axis=-1)
-        lower += np.sum(signs * terms, axis=-1)
-    tail_power = radii ** (n_terms + 1)
-    return (
-        radii + upper,
-        scale / (n_terms * n_terms * 2.0 * p.gamma) * tail_power / (1.0 - radii),
-        radii + lower,
-        scale * tail_power / p.coefficient_weight(n_terms + 1),
-    )
+    return _with_tails(p, radii, n_terms, sums)
 
 
 def _at_radius(p: ClassParams, r: float, n_terms: int) -> list[float]:
@@ -159,10 +230,33 @@ def growth_envelope_check(
     with the certified tails absorbing series truncation.  The caller is
     responsible for only applying this to candidate members; a violation
     disproves membership.
+
+    Each table of radius powers is folded into the ring values first and
+    then overwritten with the envelope terms of its block, so one table is
+    alive at a time.  Past the first all-zero block of terms only the fold
+    goes on, up to the last coefficient.
     """
     grid = grid or PolarGrid()
     radii = grid.radii()
-    upper, upper_tail, lower, lower_tail = _envelope(p, radii, n_terms)
-    absf = np.abs(f.rings(radii, grid.n_angles))
+    n_terms = _as_count(n_terms, "n_terms", 2)
+    rows = _ring_rows(f, (0,))
+    folded = np.zeros((len(rows), len(radii), grid.n_angles), dtype=np.complex128)
+    sums = np.zeros((2, len(radii)))
+    cols = _block_columns(radii)
+    end = max(n_terms + 1, rows.shape[-1])
+    summing = True
+    for m0 in range(2, end, cols):
+        if not summing and m0 >= rows.shape[-1]:
+            break
+        # one table per block of m; the first also holds r^0 and r^1, which only the fold uses
+        k0 = 0 if m0 == 2 else m0
+        k = np.arange(float(k0), min(m0 + cols, end))
+        powers = _radius_powers(radii, k)
+        _fold_powers(folded, rows, powers, k0)
+        if summing and m0 <= n_terms:
+            terms = slice(m0 - k0, n_terms + 1 - k0)
+            summing = _add_terms(p, powers[:, terms], k[terms], sums)
+    upper, upper_tail, lower, lower_tail = _with_tails(p, radii, n_terms, sums)
+    absf = np.abs(_ring_values(folded)[0])
     margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
     return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())

@@ -44,8 +44,11 @@ class ClassParams:
 
         ``m`` is an int or an array of integer indices (of any numeric dtype);
         an array gives one weight per index, bitwise equal to the scalar value.
+        A weight beyond the double range is inf, as it is for an int, so the
+        bound budget / weight of that index is 0, its limit.
         """
-        return m * m * (2.0 * self.gamma + (self.delta - self.gamma) * (m - 1))
+        with np.errstate(over="ignore"):
+            return m * m * (2.0 * self.gamma + (self.delta - self.gamma) * (m - 1))
 
     def coefficient_budget(self) -> float:
         """Right side 2*(gamma - lambda) of the sufficient coefficient sum."""
@@ -119,18 +122,31 @@ def _ring_orders(f: HarmonicMap, radii: np.ndarray, n: int, orders) -> np.ndarra
     """(d/dtheta)^j f on the rings for each j (0 or 1) in *orders*, shape ``(len(orders), len(radii), n)``.
 
     d/dtheta multiplies the coefficient of z^k by ik in s and in t alike;
-    j = 0 evaluates the stored series as they are.  On ``|z| = r`` the term
-    ``conj(t_k z^k)`` is ``conj(t_k) r^k exp(-2j*pi*k*m/n)``, so the rows
-    ``s (ik)^j`` and ``conj(t (ik)^j)`` of every order are folded in one
-    :func:`~harmonicdisk.series._fold`, which computes each block of radius
-    powers once; each conj(t) row then moves onto index ``-k mod n`` beside
-    its s row, and one FFT over the stack gives every order.
+    j = 0 evaluates the stored series as they are.  The rows of
+    :func:`_ring_rows` are folded in one :func:`~harmonicdisk.series._fold`,
+    which computes each block of radius powers once, and
+    :func:`_ring_values` turns the fold into values with one FFT.
     """
+    return _ring_values(_fold(_ring_rows(f, orders), radii, n))
+
+
+def _ring_rows(f: HarmonicMap, orders) -> np.ndarray:
+    """The coefficient rows ``s (ik)^j`` and ``conj(t (ik)^j)`` of each j in *orders*, stacked."""
     rows = []
     for j in orders:
         s, t = (c * (1j * np.arange(len(c))) if j else c for c in (f.s.coeffs, f.t.coeffs))
         rows += [s, np.conj(t)]
-    folded = _fold(_stack(*rows), radii, n)
+    return _stack(*rows)
+
+
+def _ring_values(folded: np.ndarray) -> np.ndarray:
+    """Ring values of the folded rows of :func:`_ring_rows`, one per (s, conj(t)) pair.
+
+    On ``|z| = r`` the term ``conj(t_k z^k)`` is ``conj(t_k) r^k
+    exp(-2j*pi*k*m/n)``, so each conj(t) row moves onto index ``-k mod n``
+    beside its s row (in place, in *folded*), and one FFT over the stack
+    gives every map.
+    """
     folded, conj_t = folded[0::2], folded[1::2]
     # column m of conj_t goes to column -m mod n: 0 stays, 1..n-1 reverse
     folded[..., 0] += conj_t[..., 0]

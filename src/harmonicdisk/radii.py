@@ -50,6 +50,20 @@ def starlike_radius_poly(p: ClassParams, r: float) -> float:
     return (a * r - 2.0 * a) * r + (d + g)
 
 
+def _convex_form(p: ClassParams, r: float) -> float:
+    """The convex cubic as a*(1-r)^3 - (gamma-lam)*(1+r), a = delta+2*gamma-lam.
+
+    The two forms are equal as polynomials, but this one has no terms of
+    size delta that cancel near r = 1, so its sign stays right for any delta.
+    """
+    return (p.delta + 2.0 * p.gamma - p.lam) * (1.0 - r) ** 3 - (p.gamma - p.lam) * (1.0 + r)
+
+
+def _starlike_form(p: ClassParams, r: float) -> float:
+    """The starlike quadratic as a*(1-r)^2 - (gamma-lam), without cancellation (see :func:`_convex_form`)."""
+    return (p.delta + 2.0 * p.gamma - p.lam) * (1.0 - r) ** 2 - (p.gamma - p.lam)
+
+
 def starlike_radius_exact(p: ClassParams) -> float:
     """Closed-form smaller root of the starlike quadratic.
 
@@ -83,7 +97,10 @@ def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
 
     Runs until both the bracket width and the residual drop below *tol*
     (or the iteration cap / machine resolution), so the reported root
-    satisfies |radius - root| <= tol/2 and |poly(radius)| <= tol.
+    satisfies |radius - root| <= tol/2 and |poly(radius)| <= tol.  At
+    machine resolution the midpoint rounds onto an end of the bracket; the
+    report then keeps the lower end, where the polynomial is still positive,
+    so a root within one ulp of 1 is reported strictly inside (0, 1).
     """
     tol = _as_real(tol, "tolerance", 0, ends="()")
     lo, hi = 0.0, 1.0
@@ -95,9 +112,11 @@ def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
     iterations = 0
     while True:
         radius = 0.5 * (lo + hi)
-        fmid = poly(radius)
         if radius <= lo or radius >= hi:
+            radius = lo
+            fmid = poly(radius)
             break
+        fmid = poly(radius)
         # the stop condition is checked before the bracket update so the
         # reported radius stays strictly inside with a certified residual
         if (hi - lo <= tol and abs(fmid) <= tol) or iterations >= _BISECTION_CAP:
@@ -118,7 +137,7 @@ def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
 
 def radius_fully_convex(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
     """Fully-convex radius of the class: root of the convex cubic in (0, 1)."""
-    return _bisect_decreasing(lambda r: convex_radius_poly(p, r), tol, "convex radius cubic")
+    return _bisect_decreasing(lambda r: _convex_form(p, r), tol, "convex radius cubic")
 
 
 def radius_fully_starlike(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
@@ -127,7 +146,7 @@ def radius_fully_starlike(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
     The bisection result is cross-checked against the closed-form quadratic
     root; disagreement beyond the tolerance is an internal error.
     """
-    report = _bisect_decreasing(lambda r: starlike_radius_poly(p, r), tol, "starlike quadratic")
+    report = _bisect_decreasing(lambda r: _starlike_form(p, r), tol, "starlike quadratic")
     exact = starlike_radius_exact(p)
     if abs(report.radius - exact) > tol + 1e-12:
         raise InternalConsistencyError(

@@ -283,8 +283,27 @@ def _fold(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
     order = coeffs.shape[-1]
     for k0 in range(0, order, n):
         k = np.arange(k0, min(k0 + n, order), dtype=np.float64)
-        folded[..., : len(k)] += coeffs[..., None, k0 : k0 + n] * _radius_powers(radii, k)
+        _fold_powers(folded, coeffs, _radius_powers(radii, k), k0)
     return folded
+
+
+def _fold_powers(folded: np.ndarray, coeffs: np.ndarray, powers: np.ndarray, k0: int) -> None:
+    """Add ``coeffs[..., k] * powers[:, k - k0]`` onto column ``k mod n`` of *folded*, in place.
+
+    *powers* is a table of radius powers for the indices ``k0, k0 + 1, ...``;
+    indices past the last coefficient are ignored.  Each run of indices that
+    lands on consecutive columns is one multiply and one add, and the runs go
+    in increasing k, so every column receives its terms in the order of
+    :func:`_fold` whatever block of indices the table covers.
+    """
+    n = folded.shape[-1]
+    end = min(k0 + powers.shape[-1], coeffs.shape[-1])
+    a = k0
+    while a < end:
+        col = a % n
+        b = min(a - col + n, end)
+        folded[..., col : col + b - a] += coeffs[..., None, a:b] * powers[:, a - k0 : b - k0]
+        a = b
 
 
 def _stack(*coeffs: np.ndarray) -> np.ndarray:

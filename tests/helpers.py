@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from harmonicdisk import ClassParams, HarmonicMap, MembershipVerdict, PolarGrid, TruncatedSeries
-from harmonicdisk.bounds import _envelope
+from harmonicdisk.bounds import BoundReport, BoundRow, _envelope
 from harmonicdisk.geometry import TURNING_TOL
 from harmonicdisk.maps import NEAR_DEGENERATE_MARGIN
 from harmonicdisk.membership import operator_coeffs
@@ -269,3 +269,60 @@ def convex_on_circle_per_series(f: HarmonicMap, r: float, n: int) -> MembershipV
         evidence = f"total tangent turning {total:.6f} != 2*pi (turning number != 1)"
         return replace(v, holds=False, margin=margin, evidence=evidence)
     return v
+
+
+# -- two-pass references of the order-N reports ---------------------------------
+#
+# ``growth_envelope_check`` computes each table of radius powers once: it folds
+# f from the table and then turns the same table into envelope terms.  These
+# references compute the envelope and the ring values separately, as two
+# passes with a table each, and build bound rows one ``BoundRow(*row)`` at a
+# time; tests compare the library to them bit for bit.
+
+
+def envelope_two_pass(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarray, ...]:
+    """The envelope sums over blocks of at least 4096 columns, stopping at the first all-zero block."""
+    scale = 2.0 * p.coefficient_budget()
+    upper, lower = np.zeros_like(radii), np.zeros_like(radii)
+    cols = max(4096, 2**16 // len(radii))
+    for m0 in range(2, n_terms + 1, cols):
+        m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
+        terms = scale * _radius_powers(radii, m) / p.coefficient_weight(m)
+        if not terms.any():
+            break
+        upper += np.sum(terms, axis=-1)
+        lower += np.sum(np.where(m % 2 == 0, -1.0, 1.0) * terms, axis=-1)
+    tail_power = radii ** (n_terms + 1)
+    return (
+        radii + upper,
+        scale / (n_terms * n_terms * 2.0 * p.gamma) * tail_power / (1.0 - radii),
+        radii + lower,
+        scale * tail_power / p.coefficient_weight(n_terms + 1),
+    )
+
+
+def growth_envelope_two_pass(f: HarmonicMap, p: ClassParams, grid: PolarGrid, n_terms: int):
+    """The envelope check from the envelope and from separate folds of s and conj(t)."""
+    radii = grid.radii()
+    upper, upper_tail, lower, lower_tail = envelope_two_pass(p, radii, n_terms)
+    absf = np.abs(rings_per_series(f, radii, grid.n_angles))
+    margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
+    return verdict_from_margins(margins, grid_axes(grid), grid.describe())
+
+
+def bound_report_per_row(f: HarmonicMap, p: ClassParams) -> BoundReport:
+    """Bound rows built one ``BoundRow(*row)`` at a time, in a report built by a caller."""
+    m = np.arange(2, f.order + 1)
+    bound_b = p.coefficient_budget() / p.coefficient_weight(m)
+    bound_a = 2.0 * bound_b
+    a, b = f.s.pad_to(f.order).coeffs[2:], f.t.pad_to(f.order).coeffs[2:]
+    abs_a, abs_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
+    columns = (
+        m, abs_a, abs_b, bound_a, bound_b,
+        bound_a - abs_a, bound_b - abs_b, bound_a - (abs_a + abs_b), bound_a - np.abs(abs_a - abs_b),
+    )
+    return BoundReport(rows=tuple(BoundRow(*row) for row in zip(*(c.tolist() for c in columns))))
+
+
+def all_within_per_row(rows) -> bool:
+    return all(min(r.slack_a, r.slack_b, r.slack_sum, r.slack_diff) >= -1e-12 for r in rows)

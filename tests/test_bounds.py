@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from harmonicdisk import (
+    BoundReport,
     ClassParams,
     DomainError,
     HarmonicMap,
@@ -24,7 +25,13 @@ from harmonicdisk.bounds import _envelope
 from harmonicdisk.closure import random_member
 from harmonicdisk.series import _radius_powers
 
-from helpers import mixed_order_map, random_params
+from helpers import (
+    all_within_per_row,
+    bound_report_per_row,
+    growth_envelope_two_pass,
+    mixed_order_map,
+    random_params,
+)
 
 P110 = ClassParams(1, 1, 0)
 
@@ -302,3 +309,200 @@ class TestEnvelopeCheck:
         assert abs(abs(v.witness) - 0.99) < 1e-12
         lo = growth_lower(P110, 0.99, 64)
         assert abs(f.evaluate(0.99 * np.exp(1j * np.pi / 3))) < lo.value - lo.tail
+
+
+def bits(v):
+    """Every field of a verdict, floats as their bytes."""
+    margin, witness = np.float64(v.margin).tobytes(), np.complex128(v.witness).tobytes()
+    return (v.holds, margin, witness, v.samples, v.near_degenerate, v.evidence)
+
+
+def random_map(order):
+    return lambda p, rng: random_member(p, rng, order=order)
+
+
+def full_extremal(order):
+    return lambda p, rng: make_extremal_full(p, order)
+
+
+class TestOneTablePerCheck:
+    """The check folds f from each table of radius powers and then sums the same table as envelope terms."""
+
+    @pytest.mark.parametrize(
+        ("make", "n_terms", "grid"),
+        [
+            # n_terms below, at and above the order; t = 0 for the full extremal
+            (random_map(64), 16, PolarGrid(0.97, 9, 24)),
+            (full_extremal(64), 64, PolarGrid(0.97, 9, 24)),
+            (random_map(64), 600, PolarGrid(0.97, 9, 24)),
+            # odd angle counts, one radius
+            (random_map(40), 64, PolarGrid(0.9, 5, 25)),
+            (full_extremal(200), 300, PolarGrid(0.99, 1, 33)),
+            # more than 4096 terms: several blocks of m, the fold stops inside the first
+            (full_extremal(600), 4096 * 2 + 5, PolarGrid(0.999, 17, 32)),
+            # an order past the first table: the fold goes on after the sums end
+            (lambda p, rng: mixed_order_map(rng, 5000, 300), 64, PolarGrid(0.95, 17, 48)),
+            (lambda p, rng: mixed_order_map(rng, 300, 9000), 4200, PolarGrid(0.95, 20, 64)),
+            # the sums stop at the first all-zero block, long before n_terms
+            (full_extremal(64), 10**6, PolarGrid(0.9, 9, 24)),
+            (lambda p, rng: mixed_order_map(rng, 9000, 64), 10**6, PolarGrid(0.001, 17, 16)),
+            # the benchmark's grid shape at order 4096
+            (full_extremal(4096), 4096, PolarGrid(0.95, 96, 64)),
+        ],
+    )
+    def test_verdict_is_bitwise_the_two_pass_check(self, make, n_terms, grid):
+        rng = np.random.default_rng(n_terms + grid.n_radii)
+        for _ in range(2):
+            p = random_params(rng)
+            f = make(p, rng)
+            v = growth_envelope_check(f, p, grid, n_terms)
+            assert bits(v) == bits(growth_envelope_two_pass(f, p, grid, n_terms))
+
+    def test_overflowing_weights_are_bitwise_the_two_pass_check(self):
+        p = ClassParams(1, 1e307, 0)
+        grid = PolarGrid(0.9, 17, 24)
+        for f in (make_extremal_full(p, 64), make_extremal_single(p, 2, 300)):
+            v = growth_envelope_check(f, p, grid, 64)
+            assert bits(v) == bits(growth_envelope_two_pass(f, p, grid, 64))
+        # inf weights end the sums at the second block while r^k is still
+        # nonzero there, so the fold must go on through the third
+        f = mixed_order_map(np.random.default_rng(3), 9000, 300)
+        grid = PolarGrid(0.999, 17, 48)
+        v = growth_envelope_check(f, p, grid, 10**6)
+        assert bits(v) == bits(growth_envelope_two_pass(f, p, grid, 10**6))
+
+    @pytest.mark.parametrize(
+        ("order", "n_terms", "n_radii"), [(64, 64, 9), (4096, 4096, 96), (9000, 64, 17), (64, 20_000, 17)]
+    )
+    def test_one_power_table_per_block(self, monkeypatch, order, n_terms, n_radii):
+        calls = []
+
+        def counting(radii, k):
+            calls.append((radii.copy(), k.copy()))
+            return _radius_powers(radii, k)
+
+        def unused(radii, k):
+            raise AssertionError("the check folds from its own tables")
+
+        monkeypatch.setattr("harmonicdisk.bounds._radius_powers", counting)
+        monkeypatch.setattr("harmonicdisk.series._radius_powers", unused)
+        p = ClassParams(1, 1, 0)
+        grid = PolarGrid(0.95, n_radii, 32)
+        growth_envelope_check(make_extremal_full(p, order), p, grid, n_terms)
+        seen = {}
+        for radii, k in calls:
+            # contiguous blocks of indices, the envelope's blocks (the first with r^0 and r^1)
+            assert np.array_equal(k, np.arange(k[0], k[-1] + 1))
+            assert len(k) <= max(4096, 2**16 // n_radii) + 2
+            for r in radii.tolist():
+                for j in (int(k[0]), int(k[-1])):
+                    seen.setdefault(r, []).append(j)
+        assert sorted(seen) == sorted(grid.radii().tolist())
+        for ends in seen.values():
+            starts, stops = ends[0::2], ends[1::2]
+            # each radius sees the indices 0, 1, ... once, in increasing blocks, up to the order or beyond
+            assert starts[0] == 0 and all(b + 1 == a for a, b in zip(starts[1:], stops))
+            assert stops[-1] >= order
+
+    def test_memory_does_not_grow_with_terms(self):
+        p = ClassParams(1, 1, 0)
+        grid = PolarGrid(0.9999, 2, 16)
+
+        def peak(n_terms):
+            f = identity_map(4)
+            tracemalloc.start()
+            try:
+                growth_envelope_check(f, p, grid, n_terms)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**6) <= 2 * peak(10**5)
+
+
+class TestBoundRowsFromColumns:
+    """Rows built from the columns equal rows built one ``BoundRow(*row)`` at a time."""
+
+    @staticmethod
+    def maps():
+        rng = np.random.default_rng(61)
+        p = random_params(rng)
+        return [
+            (p, random_member(p, rng, order=64)),
+            (p, make_extremal_full(p, 64)),
+            (p, mixed_order_map(rng, 5, 17)),
+            (p, mixed_order_map(rng, 300, 9)),
+            (P110, HarmonicMap(TruncatedSeries([0, 1, 0]), TruncatedSeries([0, 0, 0.5]))),
+            (P110, HarmonicMap(TruncatedSeries([0, 1, 0.1]), TruncatedSeries([0, 0, 0.2]))),
+            (P110, identity_map(1)),
+            (ClassParams(1, 1e307, 0), make_extremal_full(ClassParams(1, 1e307, 0), 64)),
+        ]
+
+    def test_rows_equal_per_row_construction(self):
+        for p, f in self.maps():
+            report, ref = coefficient_bound_check(f, p), bound_report_per_row(f, p)
+            assert report == ref and hash(report) == hash(ref)
+            assert [dataclasses.astuple(r) for r in report.rows] == [dataclasses.astuple(r) for r in ref.rows]
+            assert [dataclasses.asdict(r) for r in report.rows] == [dataclasses.asdict(r) for r in ref.rows]
+            assert [hash(r) for r in report.rows] == [hash(r) for r in ref.rows]
+            assert [repr(r) for r in report.rows] == [repr(r) for r in ref.rows]
+            assert all(type(r.m) is int and type(r.slack_diff) is float for r in report.rows)
+
+    def test_rows_stay_frozen(self):
+        report = coefficient_bound_check(make_extremal_full(P110, 8), P110)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.rows[0].slack_a = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.rows = ()
+
+    @pytest.mark.parametrize(
+        ("t2", "within"),
+        [
+            (0.0, True),  # identity: every slack is its bound
+            (0.25, True),  # the single extremal: slack_b is 0
+            (0.25 + 5e-13, True),  # slack_b -5e-13 is rounding of the bound
+            (0.25 + 2e-12, False),
+            (0.5, False),
+        ],
+    )
+    def test_all_within_matches_the_row_loop(self, t2, within):
+        for order in (2, 16):
+            t = np.zeros(order + 1)
+            t[2] = t2
+            f = HarmonicMap(TruncatedSeries.identity(order), TruncatedSeries(t))
+            report = coefficient_bound_check(f, P110)
+            assert report.all_within is within
+            assert all_within_per_row(report.rows) is within
+            # a report built by a caller reduces its rows
+            assert BoundReport(rows=report.rows).all_within is within
+
+    def test_all_within_over_random_maps(self):
+        for p, f in self.maps():
+            report = coefficient_bound_check(f, p)
+            expected = all_within_per_row(report.rows)
+            assert report.all_within == expected == BoundReport(rows=report.rows).all_within
+
+
+class TestOverflowingWeights:
+    """At delta = 1e307 the weights of m >= 3 pass the double range: they are inf, their bounds 0."""
+
+    P = ClassParams(1, 1e307, 0)
+
+    def test_weights_are_inf_like_the_scalar(self):
+        m = np.arange(2, 10)
+        weights = self.P.coefficient_weight(m)
+        assert weights.tolist() == [self.P.coefficient_weight(int(k)) for k in m]
+        assert np.isfinite(weights[0]) and np.isinf(weights[1:]).all()
+
+    def test_growth_values_are_finite(self):
+        for estimate in (growth_upper(self.P, 0.5), growth_lower(self.P, 0.5)):
+            assert math.isfinite(estimate.value) and math.isfinite(estimate.tail)
+        # only m = 2 contributes
+        assert growth_upper(self.P, 0.5).value == 0.5 + 4.0 * 0.5**2 / self.P.coefficient_weight(2)
+
+    def test_extremal_and_bounds(self):
+        f = make_extremal_full(self.P, 64)
+        assert not f.s.coeffs[3:].any() and f.s.coeffs[2] != 0
+        report = coefficient_bound_check(f, self.P)
+        assert report.all_within
+        assert report.row(64).bound_a == 0.0 and report.row(2).bound_a > 0.0

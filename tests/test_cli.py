@@ -67,19 +67,11 @@ class TestRadiiCommand:
         code, out = run(capsys, ["radii"])
         assert code == 2 and "error" in out
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "radii",
-            # report first samples the growth envelope, whose class weights
-            # overflow to inf with a numpy warning; it stays a warning, as it
-            # does for the command-line tool
-            pytest.param("report", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-        ],
-    )
-    def test_internal_consistency_error_exits_three(self, capsys, tmp_path, command):
-        # at delta = 1e307 the starlike quadratic cancels to p(1) = 0, so the
-        # bracketed bisection finds no sign change: a fault, not bad input
+    @pytest.mark.parametrize("command", ["radii", "report"])
+    def test_internal_consistency_error_exits_three(self, capsys, monkeypatch, tmp_path, command):
+        # a starlike form with no root in (0, 1) leaves the bracketed
+        # bisection without a sign change: a fault, not bad input
+        monkeypatch.setattr("harmonicdisk.radii._starlike_form", lambda p, r: 1.0)
         path = tmp_path / "huge_delta.json"
         f = HarmonicMap(TruncatedSeries([0, 1, 0.01]), TruncatedSeries([0, 0, 0.01]))
         save_map(f, path, params=ClassParams(1, 1e307, 0))
@@ -94,6 +86,23 @@ class TestRadiiCommand:
             "internal error: InternalConsistencyError: starlike quadratic: expected sign change"
         )
         assert "Traceback" in captured.err
+
+    @pytest.mark.parametrize("command", ["radii", "report"])
+    def test_large_delta_radii_are_values(self, capsys, tmp_path, command):
+        # at delta = 1e307 both class radii lie within one ulp of 1; the
+        # paper's polynomials cancel there, their factored forms do not
+        path = tmp_path / "huge_delta.json"
+        f = HarmonicMap(TruncatedSeries([0, 1, 0.01]), TruncatedSeries([0, 0, 0.01]))
+        save_map(f, path, params=ClassParams(1, 1e307, 0))
+        argv = {
+            "radii": ["radii", "--gamma", "1", "--delta", "1e307", "--lambda", "0"],
+            "report": ["report", "--in", str(path)],
+        }[command]
+        code, out = run(capsys, argv)
+        assert code <= 1
+        for key in ("fully_starlike", "fully_convex"):
+            assert out[key]["radius"] == math.nextafter(1.0, 0.0)
+            assert out[key]["bracket"] == [math.nextafter(1.0, 0.0), 1.0]
 
 
 class TestCheckCommand:

@@ -113,6 +113,38 @@ class TestRadiusSolvers:
             radius_fully_convex(P110, 0.0)
 
 
+class TestFactoredForms:
+    """The solvers bisect a*(1-r)^3 - (gamma-lam)*(1+r) and a*(1-r)^2 - (gamma-lam), a = delta+2*gamma-lam."""
+
+    def test_forms_equal_the_polynomials(self):
+        rng = np.random.default_rng(103)
+        for _ in range(2000):
+            p = random_params(rng)
+            r = float(rng.uniform(0.0, 1.0))
+            size = p.delta + 2.0 * p.gamma + p.lam
+            assert abs(radii_mod._convex_form(p, r) - convex_radius_poly(p, r)) <= 1e-14 * size
+            assert abs(radii_mod._starlike_form(p, r) - starlike_radius_poly(p, r)) <= 1e-14 * size
+
+    @pytest.mark.parametrize("delta", [1e10, 1e100, 1e200, 1e307])
+    def test_large_delta_brackets_the_root(self, delta):
+        p = ClassParams(1, delta, 0)
+        for solve, form in ((radius_fully_convex, radii_mod._convex_form), (radius_fully_starlike, radii_mod._starlike_form)):
+            rep = solve(p, 1e-9)
+            lo, hi = rep.bracket
+            assert 0.0 < lo <= rep.radius < 1.0
+            assert form(p, lo) > 0.0 >= form(p, hi)
+            assert rep.residual == abs(form(p, rep.radius))
+
+    def test_root_within_one_ulp_of_one_is_reported_inside(self):
+        # at delta = 1e307 the convex root is 1 - 5.8e-103; the cubic of the
+        # paper cancels to a residual 0 at 0.99999912, where its true value is +6.8e288
+        p = ClassParams(1, 1e307, 0)
+        below_one = math.nextafter(1.0, 0.0)
+        for solve in (radius_fully_convex, radius_fully_starlike):
+            rep = solve(p)
+            assert rep.radius == below_one and rep.bracket == (below_one, 1.0)
+
+
 class TestConvexityThreshold:
     def test_delta_three_converges(self):
         rep = convexity_threshold_lambda(3, 10000)
