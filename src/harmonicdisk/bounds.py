@@ -16,7 +16,7 @@ overwrites the table with the terms, with the blocks and operations of
 ``_envelope``.  Its envelope rows are therefore bitwise the per-radius
 bounds, and its ring values bitwise those of ``rings``, which agree with a
 Horner evaluation to rounding.  ``coefficient_bound_check`` builds its
-rows from nine columns, without a class call per row, and reduces
+rows from nine columns, one field of every row at a time, and reduces
 ``all_within`` from the slack columns.  Bounds are necessary conditions, so
 a violation disproves membership; reports therefore record slacks instead
 of raising.
@@ -24,8 +24,10 @@ of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
 from .series import DEFAULT_ORDER, _fold_powers, _radius_powers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundRow:
     """Per-index slacks: bound minus attained modulus (negative = violated)."""
 
@@ -53,29 +55,16 @@ class BoundRow:
     def _from_columns(cls, columns) -> tuple["BoundRow", ...]:
         """One row per index of *columns*, nine 1-d arrays in field order.
 
-        Each row gets the nine stores of the frozen ``__init__``, without a
-        class call and an argument unpacking per row.  The values stay in the
-        instance's inline slots: filling ``__dict__`` instead makes a second
-        tracked object per row, which brings on full garbage collections,
-        and attribute reads on a materialized dict are slower.
+        The rows are made without a class call, then filled one field at a
+        time: the field's slot descriptor stores the whole column in one
+        ``map``, so no Python code runs per row, where the frozen
+        ``__init__`` makes nine ``object.__setattr__`` calls per row.
         """
-        new, put = object.__new__, object.__setattr__
-        rows = []
-        for m, abs_a, abs_b, bound_a, bound_b, slack_a, slack_b, slack_sum, slack_diff in zip(
-            *(c.tolist() for c in columns)
-        ):
-            row = new(cls)
-            put(row, "m", m)
-            put(row, "abs_a", abs_a)
-            put(row, "abs_b", abs_b)
-            put(row, "bound_a", bound_a)
-            put(row, "bound_b", bound_b)
-            put(row, "slack_a", slack_a)
-            put(row, "slack_b", slack_b)
-            put(row, "slack_sum", slack_sum)
-            put(row, "slack_diff", slack_diff)
-            rows.append(row)
-        return tuple(rows)
+        rows = tuple(map(object.__new__, repeat(cls, len(columns[0]))))
+        for field, column in zip(fields(cls), columns):
+            # a zero-length deque runs the map to its end and keeps nothing
+            deque(map(getattr(cls, field.name).__set__, rows, column.tolist()), maxlen=0)
+        return rows
 
 
 #: A slack at or above this is within its bound (rounding of the bound itself).

@@ -25,8 +25,9 @@ def convex_combination(maps: Sequence[HarmonicMap], weights: Sequence[float]) ->
     """Coefficient-wise weighted sum of maps.
 
     Weights must be nonnegative and sum to 1 (within 1e-12), which preserves
-    the normalization.  The common truncation order is the minimum of the
-    operands' orders.
+    the normalization.  The maps are combined at the largest of their
+    orders, each padded with zeros: every map here is a polynomial, and
+    dropping a member's top coefficients can take it out of the class.
     """
     if len(maps) == 0:
         raise DomainError("convex combination needs at least one map")
@@ -35,12 +36,12 @@ def convex_combination(maps: Sequence[HarmonicMap], weights: Sequence[float]) ->
     ws = [_as_real(w, f"weights[{i}]", 0) for i, w in enumerate(weights)]
     if abs(sum(ws) - 1.0) > _WEIGHT_TOL:
         raise DomainError(f"weights must sum to 1, got {sum(ws)!r}")
-    n = min(f.order for f in maps)
+    n = max(f.order for f in maps)
     s = np.zeros(n + 1, dtype=np.complex128)
     t = np.zeros(n + 1, dtype=np.complex128)
     for w, f in zip(ws, maps):
-        s += w * f.s.pad_to(n).coeffs[: n + 1]
-        t += w * f.t.pad_to(n).coeffs[: n + 1]
+        s += w * f.s.pad_to(n).coeffs
+        t += w * f.t.pad_to(n).coeffs
     return HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
 
 

@@ -51,11 +51,23 @@ def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.nd
 
 
 def operator_coeffs(h: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
-    """The series L h: coefficient c_m * weight(m)/2 of h moves to index m - 1."""
+    """The series L h: coefficient c_m * weight(m)/2 of h moves to index m - 1.
+
+    A weight can overflow to inf for a large finite delta.  A zero
+    coefficient stays 0 whatever its weight, as in :func:`_coefficient_sum`;
+    a nonzero one times an inf weight is not finite, and a verdict sampled
+    from it raises a DomainError.
+    """
     if h.order == 0:
         return TruncatedSeries.zero(0)
-    m = np.arange(1.0, h.order + 1)
-    return TruncatedSeries._derived(h.coeffs[1:] * (p.coefficient_weight(m) / 2.0))
+    c = h.coeffs[1:]
+    weights = p.coefficient_weight(np.arange(1.0, h.order + 1)) / 2.0
+    with np.errstate(invalid="ignore"):
+        coeffs = c * weights
+    # the weights grow with m, so only the last can tell that one is inf
+    if math.isinf(weights[-1]):
+        coeffs[(c == 0) & np.isinf(weights)] = 0.0
+    return TruncatedSeries._derived(coeffs)
 
 
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:

@@ -26,6 +26,11 @@ powers is computed once for all rows, and then runs one inverse FFT over
 the stack
 (:func:`_eval_stack`).  Each row's values are bitwise those of the series
 folded and transformed alone; :func:`eval_rings` is the one-row case.
+A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`
+multiplies ``r**(k - k % 64)`` by ``r**(k % 64)`` from two small tables,
+which agrees with ``pow`` to two ulp.  Each entry depends only on the
+radius and the index, so any two tables that hold ``r**k`` hold the same
+bits, whatever blocks a caller cuts the indices into.
 
 Public constructors validate; a series derived from a valid series
 (derivatives, padding, the operator and slice series) is
@@ -60,10 +65,17 @@ _EDGE_SLACK = 1e-12
 #: Default truncation order for series built by map constructors.
 DEFAULT_ORDER = 64
 
-#: Below 2**-1075 a power r**k rounds to zero; :func:`_radius_powers` does
+#: Below 2**-1075 a power r**k rounds to zero; :func:`_pow_table` does
 #: not evaluate powers whose log2 lies below this cut, because numpy's ``pow``
 #: takes a slow path for underflowing results.
 _UNDERFLOW_LOG2 = -1100.0
+
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+#: :func:`_radius_powers` builds ``r**k`` from ``r**(k - k % 64)`` and ``r**(k % 64)``.
+_POWER_STEP = 64
+_LOW_EXPONENTS = np.arange(float(_POWER_STEP))
+_LOW_EXPONENTS.setflags(write=False)
 
 
 def _as_numbers(values, what: str, real: bool = False) -> np.ndarray:
@@ -341,12 +353,39 @@ def eval_rings(series: TruncatedSeries, radii, n: int) -> np.ndarray:
 
 
 def _radius_powers(radii: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``radii[:, None] ** k`` for radii in [0, 1], bitwise equal to numpy's ``pow``.
+    """``radii[:, None] ** k`` for radii in [0, 1] and *k* consecutive integers >= 0, as floats.
+
+    With ``k = q*_POWER_STEP + j`` and ``0 <= j < _POWER_STEP``, an entry is
+    the product ``r**(q*_POWER_STEP) * r**j`` of two small ``pow`` tables, so
+    a table of K columns takes about ``K/_POWER_STEP + _POWER_STEP`` calls of
+    ``pow`` per radius instead of K.  An entry depends only on (r, k), not on
+    the block of indices that holds it, so every table holding (r, k) has
+    the same bits there; a normal entry lies within two ulp of ``pow``.
+    Where one factor is ``r**0 = 1`` (k below ``_POWER_STEP`` or a multiple
+    of it) the entry is bitwise ``pow``'s, and a table of indices below
+    ``_POWER_STEP`` is one ``pow`` call.  The result may be a view into a
+    wider table.
+    """
+    if k[-1] < _POWER_STEP:
+        return _pow_table(radii, k)
+    k0, k1 = int(k[0]), int(k[-1]) + 1
+    base = k0 - k0 % _POWER_STEP
+    # one pow table: the low factors r**j, then the high factors r**(q*_POWER_STEP)
+    factors = _pow_table(radii, np.concatenate((_LOW_EXPONENTS, np.arange(float(base), k1, _POWER_STEP))))
+    low, high = factors[:, :_POWER_STEP], factors[:, _POWER_STEP:]
+    powers = (high[:, :, None] * low[:, None, :]).reshape(len(radii), high.shape[1] * _POWER_STEP)
+    return powers[:, k0 - base : k1 - base]
+
+
+def _pow_table(radii: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``radii[:, None] ** k`` by numpy's ``pow``, with the entries past the underflow cut left at 0.
 
     Entries whose log2 lies below :data:`_UNDERFLOW_LOG2` round to zero, so
-    they are left at 0 instead of being computed.
+    they are not computed.  In :func:`_radius_powers` an entry past the cut
+    is 0 too: either a factor is past it, or the two factors' product lies
+    below ``2**-1100`` and rounds to 0.
     """
-    log2r = np.log2(np.maximum(radii, np.finfo(np.float64).smallest_subnormal))[:, None]
+    log2r = np.log2(np.maximum(radii, _SMALLEST_SUBNORMAL))[:, None]
     powers = np.zeros((len(radii), len(k)))
     np.power(radii[:, None], k, out=powers, where=k * log2r > _UNDERFLOW_LOG2)
     return powers

@@ -39,6 +39,31 @@ def mixed_order_map(rng: np.random.Generator, s_order: int, t_order: int) -> Har
     return HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
 
 
+def fejer_riesz_member(p: ClassParams, P, alpha: complex) -> HarmonicMap:
+    """A member of the class built from a polynomial P, mostly outside the coefficient-sum subclass.
+
+    With ``rho_j = sum_k P[k+j] conj(P[k])``, ``h = rho_0 + 2 sum_{j>=1} rho_j z^j``
+    has ``Re h = |P|^2`` on ``|z| = 1`` (Fejer-Riesz).  P is scaled to
+    ``rho_0 = gamma - lam``; then ``L s = lam + h`` and ``L t = alpha z P^2``
+    with ``|alpha| <= 1`` give ``Re L s - lam - |L t| = (1 - |alpha|) |P|^2 >= 0``
+    on the circle, so the minimum principle puts the map in the class.  L is
+    inverted one coefficient at a time: ``a_m = 2 (L s)_{m-1} / weight(m)``.
+    """
+    P = np.asarray(P, dtype=np.complex128)
+    P = P * math.sqrt((p.gamma - p.lam) / float(np.sum(np.abs(P) ** 2)))
+    d = len(P) - 1
+    ls = 2.0 * np.array([np.sum(P[j:] * np.conj(P[: d + 1 - j])) for j in range(d + 1)])
+    ls[0] = p.lam + ls[0] / 2.0
+    lt = np.concatenate([[0.0], alpha * np.convolve(P, P)])
+    order = len(lt)
+    weights = p.coefficient_weight(np.arange(1.0, order + 1))
+    s, t = np.zeros(order + 1, dtype=np.complex128), np.zeros(order + 1, dtype=np.complex128)
+    s[1 : len(ls) + 1] = 2.0 * ls / weights[: len(ls)]
+    t[1:] = 2.0 * lt / weights
+    s[1], t[1] = 1.0, 0.0
+    return HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
+
+
 def params_from(gamma: float, ratio: float, frac: float) -> ClassParams:
     """Build valid params from unconstrained draws (for hypothesis)."""
     return ClassParams(gamma=gamma, delta=gamma * ratio, lam=frac * gamma)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 
 from harmonicdisk import (
     BoundReport,
+    BoundRow,
     ClassParams,
     DomainError,
     HarmonicMap,
@@ -481,6 +483,32 @@ class TestBoundRowsFromColumns:
             report = coefficient_bound_check(f, p)
             expected = all_within_per_row(report.rows)
             assert report.all_within == expected == BoundReport(rows=report.rows).all_within
+
+
+class TestBoundRowSlots:
+    """Rows keep their fields in slots, with the frozen dataclass API unchanged."""
+
+    def test_no_instance_dict_and_the_dataclass_api(self):
+        # z + 0.25 conj(z)^2 at (1, 1, 0): the b-bound at m = 2 is attained
+        f = HarmonicMap(TruncatedSeries([0, 1, 0]), TruncatedSeries([0, 0, 0.25]))
+        row = coefficient_bound_check(f, P110).rows[0]
+        values = (2, 0.0, 0.25, 0.5, 0.25, 0.5, 0.0, 0.25, 0.25)
+        assert not hasattr(row, "__dict__")
+        assert dataclasses.astuple(row) == values
+        assert dataclasses.asdict(row) == dict(zip([fd.name for fd in dataclasses.fields(BoundRow)], values))
+        assert hash(row) == hash(values) == hash(BoundRow(*values))
+        assert repr(row) == (
+            "BoundRow(m=2, abs_a=0.0, abs_b=0.25, bound_a=0.5, bound_b=0.25, "
+            "slack_a=0.5, slack_b=0.0, slack_sum=0.25, slack_diff=0.25)"
+        )
+        assert row == BoundRow(*values) and dataclasses.replace(row, m=3) == BoundRow(3, *values[1:])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.m = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.abs_a
+        with pytest.raises((AttributeError, TypeError)):
+            row.extra = 1.0
+        assert pickle.loads(pickle.dumps(row)) == row
 
 
 class TestOverflowingWeights:

@@ -149,17 +149,33 @@ class TestCheckCommand:
         code, out = run(capsys, ["check", "--in", str(big), *PFLAGS])
         assert code == 2 and out["error"].startswith(f"{field}: ")
 
-    # numpy's overflow warnings stay warnings, as they do for the command-line tool
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["check", "report"])
+    @pytest.mark.parametrize("kind", ["m2", "extremal"])
+    def test_overflowing_class_weights_of_zero_coefficients_give_a_verdict(self, capsys, tmp_path, command, kind):
+        # delta = 1e307 is a valid parameter, but the order-64 weights of m >= 3
+        # overflow to inf; a zero coefficient times an inf weight is 0 in L s
+        p = ClassParams(1, 1e307, 0)
+        path = tmp_path / "huge_delta.json"
+        if kind == "extremal":
+            f = make_extremal_full(p, 64)
+        else:
+            s, t = [0.0] * 65, [0.0] * 65
+            s[1], s[2], t[2] = 1.0, 0.01, 0.01
+            f = HarmonicMap(TruncatedSeries(s), TruncatedSeries(t))
+        save_map(f, path, params=p)
+        code, out = run(capsys, [command, "--in", str(path)])
+        assert code in (0, 1) and "error" not in out
+        assert math.isfinite(out["membership"]["margin"])
+
     @pytest.mark.parametrize("command", ["check", "report"])
     def test_overflowing_class_weights_exit_two(self, capsys, tmp_path, command):
-        # delta = 1e307 is a valid parameter, but the order-64 weights overflow to inf
+        # weight(3) = 9 * 2e307 is inf, so a nonzero s[3] = 0.01 has no finite image under L
         path = tmp_path / "huge_delta.json"
         s, t = [0.0] * 65, [0.0] * 65
-        s[1], s[2], t[2] = 1.0, 0.01, 0.01
+        s[1], s[3] = 1.0, 0.01
         save_map(HarmonicMap(TruncatedSeries(s), TruncatedSeries(t)), path, params=ClassParams(1, 1e307, 0))
         code, out = run(capsys, [command, "--in", str(path)])
-        assert code == 2 and out["error"] == "sampled margin is not finite (nan): the values overflowed"
+        assert code == 2 and out["error"].endswith("is not finite (inf): the weighted moduli overflowed")
 
     def test_missing_file_exits_two(self, capsys):
         code, out = run(capsys, ["check", "--in", "/nonexistent/f.json", *PFLAGS])

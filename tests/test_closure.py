@@ -18,7 +18,7 @@ from harmonicdisk import (
 )
 from harmonicdisk.closure import random_member
 
-from helpers import random_params
+from helpers import fejer_riesz_member, random_params
 
 P110 = ClassParams(1, 1, 0)
 
@@ -53,10 +53,31 @@ class TestConvexCombination:
         np.testing.assert_array_equal(out.s.coeffs, [0, 1, 0.1, 0, 0])
         np.testing.assert_array_equal(out.t.coeffs, f.t.coeffs)
 
-    def test_truncates_to_shortest(self):
+    def test_pads_to_the_largest_order(self):
         f1 = map_from([0, 1, 0.1], [0, 0, 0])
-        f2 = map_from([0, 1, 0.1, 0.05], [0, 0, 0, 0])
-        assert convex_combination([f1, f2], [0.5, 0.5]).order == 2
+        f2 = map_from([0, 1, 0.1, 0.05], [0, 0, 0, 0.02])
+        out = convex_combination([f1, f2], [0.5, 0.5])
+        assert out.order == 3
+        np.testing.assert_array_equal(out.s.coeffs, [0, 1, 0.1, 0.025])
+        np.testing.assert_array_equal(out.t.coeffs, [0, 0, 0, 0.01])
+
+    def test_truncating_fejer_riesz_members_leaves_the_class(self):
+        # two members of orders 6 and 8, outside the coefficient-sum subclass:
+        # dropping the top coefficients of the second takes the combination
+        # out of the class, and the padded combination stays in it
+        rng = np.random.default_rng(15)
+        p = random_params(rng)
+        maps = []
+        for d in sorted(rng.choice(np.arange(2, 12), size=2, replace=False)):
+            P = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+            maps.append(fejer_riesz_member(p, P, 0.999 * np.exp(2j * np.pi * rng.uniform())))
+        f1, f2 = maps
+        assert (f1.order, f2.order) == (6, 8)
+        assert all(membership_sampled(f, p).holds and not membership_sufficient(f, p).holds for f in maps)
+        truncated = map_from(f2.s.coeffs[:7], f2.t.coeffs[:7])
+        assert not membership_sampled(convex_combination([f1, truncated], [0.5, 0.5]), p).holds
+        padded = convex_combination([f1, f2], [0.5, 0.5])
+        assert padded.order == 8 and membership_sampled(padded, p).holds
 
     @pytest.mark.parametrize(
         "weights",

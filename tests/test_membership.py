@@ -127,6 +127,24 @@ class TestOperatorCoeffs:
             bound = (8 * (order + 1) + 16) * EPS * s
             assert abs(lh.evaluate(z) - apply_operator(h, p, z)) <= bound
 
+    def test_zero_coefficients_stay_zero_under_inf_weights(self):
+        # at delta = 1e307 the weights of m >= 3 are inf; 0 * inf would be NaN
+        p = ClassParams(1, 1e307, 0)
+        f = make_extremal_full(p, 64)
+        ls = operator_coeffs(f.s, p).coeffs
+        assert ls.tolist() == [1.0, 2.0] + [0.0] * 62
+        assert operator_coeffs(f.t, p).coeffs.tolist() == [0.0] * 64
+        v = slice_membership_sampled(f, p)
+        assert np.isfinite(v.margin)
+
+    def test_nonzero_coefficient_under_an_inf_weight_is_not_finite(self):
+        p = ClassParams(1, 1e307, 0)
+        h = TruncatedSeries([0, 1, 0, 0.01, 0])
+        ls = operator_coeffs(h, p).coeffs
+        assert ls[:2].tolist() == [1.0, 0.0] and np.isinf(ls[2].real) and ls[3] == 0
+        with pytest.raises(DomainError, match="not finite"):
+            slice_membership_sampled(HarmonicMap(h, TruncatedSeries.zero(4)), p)
+
 
 class TestSufficientCondition:
     def test_identity_has_empty_sum(self):

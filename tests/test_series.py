@@ -6,7 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries
 from harmonicdisk.membership import apply_operator, operator_coeffs
-from harmonicdisk.series import _EDGE_SLACK, eval_many, eval_rings
+from harmonicdisk.series import _EDGE_SLACK, _UNDERFLOW_LOG2, _radius_powers, eval_many, eval_rings
 
 from helpers import EPS, circle_points, mixed_order_map, random_params, ring_rounding_bound, random_series
 
@@ -156,6 +156,65 @@ class TestEvalRings:
     def test_rejects_no_angles(self):
         with pytest.raises(DomainError):
             eval_rings(TruncatedSeries([0, 1]), [0.5], 0)
+
+    def test_no_rings_past_one_power_step(self):
+        assert eval_rings(random_series(np.random.default_rng(3), 300), [], 16).shape == (0, 16)
+
+
+class TestRadiusPowers:
+    """Tables of r**k from r**(k - k % 64) * r**(k % 64): within 2 ulp of pow, and the same bits in any table."""
+
+    RADII = np.array([0.0, 1e-3, 0.5, 0.95, 1.0, 1.0 + _EDGE_SLACK])
+
+    @staticmethod
+    def _k(k0, n):
+        return np.arange(float(k0), k0 + n)
+
+    @pytest.mark.parametrize("k0", [0, 1, 37, 64, 4097, 10**6])
+    @pytest.mark.parametrize("n", [1, 27, 64, 300, 4097])
+    def test_normal_entries_within_two_ulp_of_pow(self, k0, n):
+        k = self._k(k0, n)
+        got = _radius_powers(self.RADII, k)
+        ref = self.RADII[:, None] ** k
+        assert got.shape == (len(self.RADII), n)
+        normal = ref >= np.finfo(np.float64).tiny
+        assert np.all(np.abs(got - ref)[normal] <= 2 * np.spacing(ref[normal]))
+        # an entry below every normal is tiny as well
+        assert np.all(got[~normal] < 2 * np.finfo(np.float64).tiny)
+
+    def test_same_bits_in_any_table(self):
+        k = self._k(0, 5000)
+        whole = _radius_powers(self.RADII, k)
+        for k0, n in [(0, 1), (2, 64), (37, 300), (63, 2), (64, 65), (1000, 4000), (4097, 903)]:
+            part = _radius_powers(self.RADII, self._k(k0, n))
+            assert part.tobytes() == np.ascontiguousarray(whole[:, k0 : k0 + n]).tobytes(), (k0, n)
+            for i, r in enumerate(self.RADII):
+                one = _radius_powers(np.array([r]), self._k(k0, n))
+                assert one.tobytes() == np.ascontiguousarray(part[i : i + 1]).tobytes(), (k0, n, r)
+
+    def test_pow_bits_where_a_factor_is_one(self):
+        k = self._k(0, 1000)
+        got = _radius_powers(self.RADII, k)
+        ref = self.RADII[:, None] ** k
+        exact = (k < 64) | (k % 64 == 0)
+        assert got[:, exact].tobytes() == ref[:, exact].tobytes()
+        assert _radius_powers(self.RADII, self._k(0, 64)).tobytes() == ref[:, :64].tobytes()
+
+    def test_entries_past_the_underflow_cut_are_zero(self):
+        radii = np.array([1e-3, 0.5, 0.95])
+        k = self._k(1000, 20000)
+        got = _radius_powers(radii, k)
+        past = k * np.log2(radii)[:, None] < _UNDERFLOW_LOG2
+        assert past.any() and (~past).any()
+        assert not got[past].any()
+
+    @pytest.mark.parametrize("k0,n", [(0, 1), (0, 5), (0, 200), (37, 100), (4097, 10)])
+    def test_radius_zero(self, k0, n):
+        got = _radius_powers(np.array([0.0]), self._k(k0, n))[0]
+        expected = np.zeros(n)
+        if k0 == 0:
+            expected[0] = 1.0
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestDerivative:
