@@ -2,11 +2,11 @@
 
 For the whole inequality class, every member is fully convex on |z| < r_c
 and fully starlike on |z| < r_s, where r_c and r_s are the unique roots in
-(0, 1) of an explicit cubic and quadratic in the class parameters.  Both
-polynomials are positive at 0, negative at 1 and strictly decreasing in
-between, so bracketed bisection is guaranteed to converge.  The numeric
-radius oracle cross-validates those analytic radii against the per-circle
-geometry tests for concrete members.
+(0, 1) of an explicit cubic and quadratic in the class parameters.  In
+x = 1 - r both are one-parameter equations, x^2 = P and x^3 + P*x = 2*P,
+so both radii have closed forms: the square root and Cardano's formula.
+The numeric radius oracle cross-validates those analytic radii against the
+per-circle geometry tests for concrete members.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, InternalConsistencyError, _as_count, _as_real
+from .errors import DomainError, _as_count, _as_real
 from .maps import ClassParams, HarmonicMap
 
 _BISECTION_CAP = 200
@@ -50,18 +50,26 @@ def starlike_radius_poly(p: ClassParams, r: float) -> float:
     return (a * r - 2.0 * a) * r + (d + g)
 
 
+def _over_delta(p: ClassParams) -> tuple[float, float]:
+    """(a, gamma - lam) over delta, a = delta + 2*gamma - lam: neither overflows at any delta."""
+    q = (p.gamma - p.lam) / p.delta
+    return 1.0 + p.gamma / p.delta + q, q
+
+
 def _convex_form(p: ClassParams, r: float) -> float:
     """The convex cubic as a*(1-r)^3 - (gamma-lam)*(1+r), a = delta+2*gamma-lam.
 
     The two forms are equal as polynomials, but this one has no terms of
-    size delta that cancel near r = 1, so its sign stays right for any delta.
+    size delta that cancel near r = 1, so its value stays right for any delta.
     """
-    return (p.delta + 2.0 * p.gamma - p.lam) * (1.0 - r) ** 3 - (p.gamma - p.lam) * (1.0 + r)
+    a, q = _over_delta(p)
+    return p.delta * (a * (1.0 - r) ** 3 - q * (1.0 + r))
 
 
 def _starlike_form(p: ClassParams, r: float) -> float:
     """The starlike quadratic as a*(1-r)^2 - (gamma-lam), without cancellation (see :func:`_convex_form`)."""
-    return (p.delta + 2.0 * p.gamma - p.lam) * (1.0 - r) ** 2 - (p.gamma - p.lam)
+    a, q = _over_delta(p)
+    return p.delta * (a * (1.0 - r) ** 2 - q)
 
 
 def starlike_radius_exact(p: ClassParams) -> float:
@@ -70,18 +78,20 @@ def starlike_radius_exact(p: ClassParams) -> float:
     With a = delta + 2*gamma - lam the quadratic is a*(r^2 - 2r) + delta +
     gamma, so the root in (0, 1) is 1 - sqrt((gamma - lam)/a).
     """
-    a = p.delta + 2.0 * p.gamma - p.lam
-    return 1.0 - math.sqrt((p.gamma - p.lam) / a)
+    a, q = _over_delta(p)
+    return 1.0 - math.sqrt(q / a)
 
 
 @dataclass(frozen=True)
 class RadiusReport:
     """A computed radius with the bracket and residual that certify it.
 
-    For the bisection method, ``residual`` is |poly(radius)|.  For the
-    numeric oracle, ``residual`` is the circle-test margin at the last
-    certified passing radius, and a capped probe is reported with radius
-    equal to the bracket's lower end (see ``note``).
+    For the class radii (``method`` "closed_form") ``residual`` is
+    |form(radius)|, ``iterations`` is 0 and ``bracket`` is (radius, root):
+    (r, r) in general, and (nextafter(1, 0), 1.0) where the root rounds to
+    1.  For the numeric oracle, ``residual`` is the circle-test margin at
+    the last certified passing radius, and a capped probe is reported with
+    radius equal to the bracket's lower end (see ``note``).
     """
 
     radius: float
@@ -92,67 +102,42 @@ class RadiusReport:
     note: str = ""
 
 
-def _bisect_decreasing(poly, tol: float, what: str) -> RadiusReport:
-    """Bisection on (0, 1) for a strictly decreasing polynomial.
-
-    Runs until both the bracket width and the residual drop below *tol*
-    (or the iteration cap / machine resolution), so the reported root
-    satisfies |radius - root| <= tol/2 and |poly(radius)| <= tol.  At
-    machine resolution the midpoint rounds onto an end of the bracket; the
-    report then keeps the lower end, where the polynomial is still positive,
-    so a root within one ulp of 1 is reported strictly inside (0, 1).
-    """
-    tol = _as_real(tol, "tolerance", 0, ends="()")
-    lo, hi = 0.0, 1.0
-    flo, fhi = poly(lo), poly(hi)
-    if not (flo > 0.0 and fhi < 0.0):
-        raise InternalConsistencyError(
-            f"{what}: expected sign change on (0, 1), got p(0)={flo}, p(1)={fhi}"
-        )
-    iterations = 0
-    while True:
-        radius = 0.5 * (lo + hi)
-        if radius <= lo or radius >= hi:
-            radius = lo
-            fmid = poly(radius)
-            break
-        fmid = poly(radius)
-        # the stop condition is checked before the bracket update so the
-        # reported radius stays strictly inside with a certified residual
-        if (hi - lo <= tol and abs(fmid) <= tol) or iterations >= _BISECTION_CAP:
-            break
-        iterations += 1
-        if fmid > 0.0:
-            lo = radius
-        else:
-            hi = radius
+def _closed_form(p: ClassParams, root: float, form) -> RadiusReport:
+    """Report *root*, clamped below 1 so that it lies strictly inside (0, 1)."""
+    radius = min(root, math.nextafter(1.0, 0.0))
     return RadiusReport(
         radius=radius,
-        bracket=(lo, hi),
-        residual=abs(fmid),
-        iterations=iterations,
-        method="bisection",
+        bracket=(radius, max(root, radius)),
+        residual=abs(form(p, radius)),
+        iterations=0,
+        method="closed_form",
     )
 
 
 def radius_fully_convex(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
-    """Fully-convex radius of the class: root of the convex cubic in (0, 1)."""
-    return _bisect_decreasing(lambda r: _convex_form(p, r), tol, "convex radius cubic")
+    """Fully-convex radius of the class: root of the convex cubic in (0, 1).
+
+    In x = 1 - r the cubic is a*(x^3 + P*x - 2*P), P = (gamma - lam)/a in
+    (0, 1/3], a depressed cubic with one real root.  Cardano gives
+    x = u - P/(3u), u = cbrt(P*w), w = 1 + sqrt(1 + P/27); the subtracted
+    term is at most 17% of u, so nothing cancels, and it is taken as
+    cbrt(P^2/(27w)), which needs no branch where P underflows to 0 (the
+    root is then within an ulp of 1).  The radius is within a few ulp of
+    the root, so it meets every *tol* that the validation accepts; *tol* is
+    validated and otherwise unused.
+    """
+    _as_real(tol, "tolerance", 0, ends="()")
+    a, q = _over_delta(p)
+    P = q / a
+    w = 1.0 + math.sqrt(1.0 + P / 27.0)
+    x = (P * w) ** (1.0 / 3.0) - (P * P / (27.0 * w)) ** (1.0 / 3.0)
+    return _closed_form(p, 1.0 - x, _convex_form)
 
 
 def radius_fully_starlike(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
-    """Fully-starlike radius of the class: root of the starlike quadratic.
-
-    The bisection result is cross-checked against the closed-form quadratic
-    root; disagreement beyond the tolerance is an internal error.
-    """
-    report = _bisect_decreasing(lambda r: _starlike_form(p, r), tol, "starlike quadratic")
-    exact = starlike_radius_exact(p)
-    if abs(report.radius - exact) > tol + 1e-12:
-        raise InternalConsistencyError(
-            f"starlike radius {report.radius} disagrees with closed form {exact}"
-        )
-    return report
+    """Fully-starlike radius of the class: :func:`starlike_radius_exact`, which meets every *tol*."""
+    _as_real(tol, "tolerance", 0, ends="()")
+    return _closed_form(p, starlike_radius_exact(p), _starlike_form)
 
 
 @dataclass(frozen=True)
@@ -178,7 +163,10 @@ class ThresholdReport:
 
 
 def _threshold_terms(delta: float, m: np.ndarray) -> np.ndarray:
-    return (2.0 * m * (3.0 - delta) + (delta - 5.0)) / ((m + 1.0) * (m * (delta - 1.0) + 2.0))
+    """The series' terms, numerator and denominator divided by delta so that no factor overflows."""
+    return (2.0 * m * ((3.0 - delta) / delta) + (delta - 5.0) / delta) / (
+        (m + 1.0) * (m * ((delta - 1.0) / delta) + 2.0 / delta)
+    )
 
 
 def convexity_threshold_lambda(delta: float, n_terms: int = 10000) -> ThresholdReport:

@@ -54,6 +54,10 @@ def _parse_coeffs(value: Any, path: str) -> list[complex]:
     return out
 
 
+class _ParamsError(DocumentError, DomainError):
+    """Numbers that break the class's ordering: a DocumentError naming ``params``, still a DomainError."""
+
+
 def _parse_params(value: Any, path: str) -> ClassParams:
     obj = _require_dict(value, path)
     vals = {}
@@ -61,7 +65,10 @@ def _parse_params(value: Any, path: str) -> ClassParams:
         if key not in obj:
             raise DocumentError(f"missing required key {key!r}", path)
         vals[key] = _parse_number(obj[key], f"{path}.{key}")
-    return ClassParams(gamma=vals["gamma"], delta=vals["delta"], lam=vals["lambda"])
+    try:
+        return ClassParams(gamma=vals["gamma"], delta=vals["delta"], lam=vals["lambda"])
+    except DomainError as e:
+        raise _ParamsError(str(e), path) from None
 
 
 def document_to_map(doc: Any) -> tuple[HarmonicMap, ClassParams | None, dict]:

@@ -11,6 +11,7 @@ import pytest
 from harmonicdisk import (
     ClassParams,
     HarmonicMap,
+    InternalConsistencyError,
     PolarGrid,
     TruncatedSeries,
     circle_image,
@@ -61,7 +62,15 @@ class TestRadiiCommand:
         assert code == 0
         assert out["fully_starlike"]["radius"] == pytest.approx(1 - 1 / math.sqrt(3), abs=1e-8)
         assert 0.25 < out["fully_convex"]["radius"] < 0.26
-        assert out["fully_convex"]["method"] == "bisection"
+        assert out["fully_convex"]["method"] == "closed_form"
+
+    def test_tol_does_not_move_the_radii(self, capsys):
+        # the class radii are closed forms, so a coarse --tol gives the same
+        # values as the default
+        _, coarse = run(capsys, ["radii", *PFLAGS, "--tol", "0.1"])
+        _, default = run(capsys, ["radii", *PFLAGS])
+        assert coarse == default
+        assert abs(coarse["fully_starlike"]["radius"] - (1 - 1 / math.sqrt(3))) <= 1e-15
 
     def test_missing_params_is_usage_error(self, capsys):
         code, out = run(capsys, ["radii"])
@@ -69,9 +78,11 @@ class TestRadiiCommand:
 
     @pytest.mark.parametrize("command", ["radii", "report"])
     def test_internal_consistency_error_exits_three(self, capsys, monkeypatch, tmp_path, command):
-        # a starlike form with no root in (0, 1) leaves the bracketed
-        # bisection without a sign change: a fault, not bad input
-        monkeypatch.setattr("harmonicdisk.radii._starlike_form", lambda p, r: 1.0)
+        # no solver raises it; one that did would report a fault, not bad input
+        def inconsistent(p, tol=1e-9):
+            raise InternalConsistencyError("starlike quadratic: expected sign change on (0, 1)")
+
+        monkeypatch.setattr("harmonicdisk.radii.radius_fully_starlike", inconsistent)
         path = tmp_path / "huge_delta.json"
         f = HarmonicMap(TruncatedSeries([0, 1, 0.01]), TruncatedSeries([0, 0, 0.01]))
         save_map(f, path, params=ClassParams(1, 1e307, 0))

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +26,27 @@ from harmonicdisk import radii as radii_mod
 from helpers import random_params
 
 P110 = ClassParams(1, 1, 0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def reference_radii(p: ClassParams) -> tuple:
+    """(r_s, r_c) at 80 digits: 1 - sqrt(P), and 1 - x for the real root of x^3 + P x - 2P."""
+    with mpmath.workdps(80):
+        g, d, lm = (mpmath.mpf(v) for v in (p.gamma, p.delta, p.lam))
+        P = (g - lm) / (d + 2 * g - lm)
+        w = 1 + mpmath.sqrt(1 + P / 27)
+        x = mpmath.cbrt(P * w) - mpmath.cbrt(P * P / (27 * w))
+        assert abs(x**3 + P * x - 2 * P) <= mpmath.mpf(10) ** -70 * P
+        return 1 - mpmath.sqrt(P), 1 - x
+
+
+def assert_near_reference(radius: float, ref) -> None:
+    """*radius* within 16 ulp of *ref*, or exactly the largest double below 1 where *ref* rounds to 1."""
+    nearest = float(ref)
+    if nearest == 1.0:
+        assert radius == BELOW_ONE
+    else:
+        assert abs(mpmath.mpf(radius) - ref) <= 16 * math.ulp(nearest), (radius, ref)
 
 
 class TestPolynomials:
@@ -86,10 +109,9 @@ class TestRadiusSolvers:
     def test_convex_radius_bracket(self):
         rep = radius_fully_convex(P110, 1e-9)
         assert 0.25 < rep.radius < 0.26
-        assert rep.residual <= 1e-9
-        assert rep.bracket[0] < rep.radius < rep.bracket[1]
-        assert rep.bracket[1] - rep.bracket[0] <= 1e-9
-        assert rep.method == "bisection"
+        assert rep.residual <= 1e-15
+        assert rep.bracket == (rep.radius, rep.radius)
+        assert (rep.iterations, rep.method) == (0, "closed_form")
 
     def test_residuals_over_random_params(self):
         rng = np.random.default_rng(97)
@@ -114,7 +136,7 @@ class TestRadiusSolvers:
 
 
 class TestFactoredForms:
-    """The solvers bisect a*(1-r)^3 - (gamma-lam)*(1+r) and a*(1-r)^2 - (gamma-lam), a = delta+2*gamma-lam."""
+    """Residuals are of a*(1-r)^3 - (gamma-lam)*(1+r) and a*(1-r)^2 - (gamma-lam), a = delta+2*gamma-lam."""
 
     def test_forms_equal_the_polynomials(self):
         rng = np.random.default_rng(103)
@@ -127,12 +149,17 @@ class TestFactoredForms:
 
     @pytest.mark.parametrize("delta", [1e10, 1e100, 1e200, 1e307])
     def test_large_delta_brackets_the_root(self, delta):
+        # the bracket is (radius, root): a point where the root is a double,
+        # (nextafter(1, 0), 1) where it rounds to 1
         p = ClassParams(1, delta, 0)
-        for solve, form in ((radius_fully_convex, radii_mod._convex_form), (radius_fully_starlike, radii_mod._starlike_form)):
+        ref_s, ref_c = reference_radii(p)
+        for solve, form, ref in (
+            (radius_fully_convex, radii_mod._convex_form, ref_c),
+            (radius_fully_starlike, radii_mod._starlike_form, ref_s),
+        ):
             rep = solve(p, 1e-9)
-            lo, hi = rep.bracket
-            assert 0.0 < lo <= rep.radius < 1.0
-            assert form(p, lo) > 0.0 >= form(p, hi)
+            assert_near_reference(rep.radius, ref)
+            assert rep.bracket == (rep.radius, 1.0 if float(ref) == 1.0 else rep.radius)
             assert rep.residual == abs(form(p, rep.radius))
 
     def test_root_within_one_ulp_of_one_is_reported_inside(self):
@@ -143,6 +170,48 @@ class TestFactoredForms:
         for solve in (radius_fully_convex, radius_fully_starlike):
             rep = solve(p)
             assert rep.radius == below_one and rep.bracket == (below_one, 1.0)
+
+
+class TestClosedForms:
+    """Both class radii against the same formulas at 80 digits."""
+
+    @staticmethod
+    def triples():
+        rng = np.random.default_rng(107)
+        for _ in range(300):
+            gamma = 10.0 ** rng.uniform(-3, 3)
+            delta = gamma * 10.0 ** rng.uniform(0, 300)
+            yield ClassParams(gamma, delta, gamma * float(rng.uniform(0, 1)))
+        yield from (P110, ClassParams(1, 2, 0), ClassParams(1, 1, math.nextafter(1.0, 0.0)))
+        # a = delta + 2 gamma - lam is past the double range here, P is not
+        yield ClassParams(1e308, 1e308, 0)
+        yield ClassParams(1e308, sys.float_info.max, 5e307)
+
+    def test_radii_match_the_reference(self):
+        for p in self.triples():
+            ref_s, ref_c = reference_radii(p)
+            for rep, ref in ((radius_fully_starlike(p), ref_s), (radius_fully_convex(p), ref_c)):
+                assert_near_reference(rep.radius, ref)
+                assert math.isfinite(rep.residual)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ClassParams(1, sys.float_info.max, 0),
+            ClassParams(1e-300, 1e300, 0),
+            ClassParams(1e-310, 1e10, 0),  # P underflows to 0
+        ],
+        ids=["max", "1e600", "underflow"],
+    )
+    def test_clamped_roots_are_the_largest_double_below_one(self, p):
+        for solve in (radius_fully_convex, radius_fully_starlike):
+            rep = solve(p)
+            assert rep.radius == BELOW_ONE and rep.bracket == (BELOW_ONE, 1.0)
+
+    def test_tolerance_changes_nothing(self):
+        for tol in (1e-15, 1e-9, 0.1, 10.0):
+            assert radius_fully_convex(P110, tol) == radius_fully_convex(P110)
+            assert radius_fully_starlike(P110, tol) == radius_fully_starlike(P110)
 
 
 class TestConvexityThreshold:
@@ -171,6 +240,15 @@ class TestConvexityThreshold:
 
     def test_delta_three_stable_under_window(self):
         assert not convexity_threshold_lambda(3, 2000).diverged
+
+    @pytest.mark.parametrize("delta", [2e300, 1e308, sys.float_info.max])
+    def test_huge_delta_diverges_with_finite_fields(self, delta):
+        # unscaled, the terms' factors overflow here: to a convergent-looking
+        # lam of -8.6e298 at 2e300, to nan at 1e308
+        rep = convexity_threshold_lambda(delta)
+        assert rep.diverged and rep.lam is None and rep.lam_error_estimate is None
+        fields = (rep.partial_sum, rep.min_scaled_term, rep.first_omitted_term)
+        assert all(math.isfinite(v) for v in fields)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -143,6 +143,18 @@ class TestValidationErrors:
         with pytest.raises(DomainError, match="lambda < gamma"):
             document_to_map(doc)
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"gamma": 1, "delta": 0.5, "lambda": 0}, {"gamma": 1, "delta": 1, "lambda": 1}],
+    )
+    def test_params_violation_names_params(self, params):
+        # the numbers parse, their ordering does not hold: still the
+        # document's fault, so a DocumentError with the field path
+        with pytest.raises(DocumentError) as err:
+            document_to_map(valid_doc(params=params))
+        assert err.value.path == "params"
+        assert str(err.value).startswith("params: ")
+
 
 class TestDocumentShape:
     def test_optional_fields_omitted(self):
