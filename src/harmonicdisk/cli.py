@@ -3,8 +3,10 @@
 Every command prints one JSON result on stdout; ``--verbose`` adds a human
 summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
 verdict fails, 2 on usage or validation errors, 3 on an internal fault, an
-``InternalConsistencyError`` included (its traceback goes to stderr).  A
-reader that closes stdout early does not change the exit code.
+``InternalConsistencyError`` included (its traceback goes to stderr).  The
+output is strict JSON: a result that holds a NaN or an infinity is an
+internal fault.  A reader that closes stdout early does not change the exit
+code.
 
 Each command takes exactly the flags its body reads (``_COMMAND_FLAGS``),
 by their full names; any other flag, or an abbreviation, is a usage error.
@@ -287,8 +289,9 @@ def _summarize(result: dict, out) -> None:
 
 
 def _print_json(obj) -> None:
+    """*obj* as strict JSON on stdout; a NaN or an infinity raises ValueError before anything is printed."""
     try:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2, allow_nan=False))
     except BrokenPipeError:
         pass  # the reader closed stdout early; the exit code still reports the result
 
@@ -308,11 +311,11 @@ def run_command(argv: list[str]) -> int:
             _print_json({"error": str(e)})
             print(f"error: {e}", file=sys.stderr)
             return 2
+        _print_json(result)  # a result holding a non-finite number is a fault
     except Exception as e:  # noqa: BLE001 - any other failure is a bug, not bad input
         _print_json({"error": f"internal error: {type(e).__name__}: {e}"})
         traceback.print_exc()
         return 3
-    _print_json(result)
     if args.verbose:
         _summarize(result, sys.stderr)
     return 1 if _any_verdict_failed(result) else 0

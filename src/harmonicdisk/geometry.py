@@ -8,8 +8,9 @@ ground truth behind the numeric radius oracle.
 
 Every test samples one circle at n equally spaced angles: f and d/dtheta f
 come from one fold of the coefficients of s and conj(t) and one FFT
-(``HarmonicMap.rings``, not an order-N Horner pass per point), and the
-starlikeness test reads both from the same fold.  A witness is the sample
+(the evaluator behind ``HarmonicMap.rings``, called on the radius and
+sample count the test has validated, not an order-N Horner pass per
+point), and the starlikeness test reads both from the same fold.  A witness is the sample
 point ``r * exp(2j*pi*k/n)``, formed for its index k alone.
 """
 
@@ -70,7 +71,7 @@ class CirclePolyline:
 def circle_image(f: HarmonicMap, r: float, n: int = 256) -> CirclePolyline:
     """Uniform-angle sampling of f on the circle |z| = r."""
     r, n = _check_circle_args(r, n)
-    return CirclePolyline(radius=r, points=f.rings([r], n)[0], n=n)
+    return CirclePolyline(radius=r, points=_ring_orders(f, np.array([r]), n, (0,))[0, 0], n=n)
 
 
 class _UnitRoots:
@@ -98,7 +99,7 @@ class _UnitRoots:
 
 def _circle_verdict(margins: np.ndarray, r: float, n: int) -> MembershipVerdict:
     """Verdict on the n samples of |z| = r; the witness is ``r * exp(2j*pi*k/n)`` at the argmin k."""
-    return verdict_from_margins(margins, (np.array([r]), _UnitRoots(n)), f"{n} samples on circle r={r}")
+    return verdict_from_margins(margins, ((r,), _UnitRoots(n)), f"{n} samples on circle r={r}")
 
 
 def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdict:
@@ -111,7 +112,7 @@ def starlike_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVer
     """
     r, n = _check_circle_args(r, n)
     fv, rate = _ring_orders(f, np.array([r]), n, (0, 1))[:, 0]
-    if float(np.min(np.abs(fv))) < _VALUE_FLOOR:
+    if float(np.abs(fv).min()) < _VALUE_FLOOR:
         raise DegenerateCurveError(f"map value vanishes on circle r={r}")
     return _circle_verdict(np.imag(rate / fv), r, n)
 
@@ -127,15 +128,23 @@ def convex_on_circle(f: HarmonicMap, r: float, n: int = 1024) -> MembershipVerdi
     is an error.
     """
     r, n = _check_circle_args(r, n)
-    tangent = f.rings([r], n, 1)[0]
-    if float(np.min(np.abs(tangent))) < _TANGENT_FLOOR:
+    tangent = _ring_orders(f, np.array([r]), n, (1,))[0, 0]
+    if float(np.abs(tangent).min()) < _TANGENT_FLOOR:
         raise DegenerateCurveError(f"tangent vanishes on circle r={r}")
     raw = np.angle(tangent)
-    steps = np.diff(raw, append=raw[:1])
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    total = float(np.sum(steps))
+    # steps[k] = raw[k + 1] - raw[k] and rates[k] = steps[k] + steps[k - 1], cyclically
+    steps = np.empty(n)
+    np.subtract(raw[1:], raw[:-1], out=steps[:-1])
+    steps[-1] = raw[0] - raw[-1]
+    steps += np.pi
+    steps %= 2.0 * np.pi
+    steps -= np.pi
+    total = float(steps.sum())
     dtheta = 2.0 * np.pi / n
-    rates = (steps + np.roll(steps, 1)) / (2.0 * dtheta)
+    rates = np.empty(n)
+    np.add(steps[1:], steps[:-1], out=rates[1:])
+    rates[0] = steps[0] + steps[-1]
+    rates /= 2.0 * dtheta
     v = _circle_verdict(rates, r, n)
     if abs(total - 2.0 * np.pi) > TURNING_TOL:
         margin = min(v.margin, TURNING_TOL - abs(total - 2.0 * np.pi))

@@ -60,8 +60,7 @@ def _check_normalized(series: TruncatedSeries, want_unit_slope: bool, label: str
         raise DomainError(f"{label} must be a TruncatedSeries, got {type(series).__name__}")
     if series.order < 1:
         raise NormalizationError(f"{label} must have order >= 1")
-    c0 = series.coeff(0)
-    c1 = series.coeff(1)
+    c0, c1 = series.coeffs[:2].tolist()
     if abs(c0) > COEFF_TOL:
         raise NormalizationError(f"{label}[0]: {label}(0) must be 0, got {c0}")
     slope = 1.0 if want_unit_slope else 0.0
@@ -131,12 +130,18 @@ def _ring_orders(f: HarmonicMap, radii: np.ndarray, n: int, orders) -> np.ndarra
 
 
 def _ring_rows(f: HarmonicMap, orders) -> np.ndarray:
-    """The coefficient rows ``s (ik)^j`` and ``conj(t (ik)^j)`` of each j in *orders*, stacked."""
-    rows = []
-    for j in orders:
-        s, t = (c * (1j * np.arange(len(c))) if j else c for c in (f.s.coeffs, f.t.coeffs))
-        rows += [s, np.conj(t)]
-    return _stack(*rows)
+    """The coefficient rows ``s (ik)^j`` and ``conj(t (ik)^j)`` of each j in *orders*, stacked.
+
+    The rows are zero-padded to the longer series, as by
+    :func:`~harmonicdisk.series._stack`, and written in place.
+    """
+    s, t = f.s.coeffs, f.t.coeffs
+    rows = np.zeros((2 * len(orders), max(len(s), len(t))), dtype=np.complex128)
+    ik = 1j * np.arange(rows.shape[1])
+    for i, j in enumerate(orders):
+        rows[2 * i, : len(s)] = s * ik[: len(s)] if j else s
+        np.conjugate(t * ik[: len(t)] if j else t, out=rows[2 * i + 1, : len(t)])
+    return rows
 
 
 def _ring_values(folded: np.ndarray) -> np.ndarray:

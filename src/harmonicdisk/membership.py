@@ -23,7 +23,10 @@ L maps z^m to (weight(m)/2)*z^(m-1), with weight the coefficient weight of
 :meth:`ClassParams.coefficient_weight`, so :func:`operator_coeffs` applies it
 with one multiply per coefficient, and the circle is sampled by one fold
 and one FFT: :func:`slice_membership_sampled` folds ``L s`` and ``L t``
-together.  :func:`membership_sampled` still samples every ring of its grid
+together.  The analytic checks fold the coefficients of F' and F/z, formed
+from F's own array, on the grid's outer radius, which the grid validated
+when it was built, so no derived series is built and no radius is checked
+again.  :func:`membership_sampled` still samples every ring of its grid
 and, like :func:`apply_operator`, evaluates L through the three formal
 derivatives with the Horner kernel: the benchmark's smoke test pins the
 former's calls, and a test pins the latter bit for bit to ``polyval``.
@@ -39,7 +42,7 @@ import numpy as np
 from .errors import DomainError, _as_complex, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import TruncatedSeries, _eval_stack, _stack, eval_many, eval_rings
+from .series import TruncatedSeries, _eval_stack, _stack, eval_many
 
 
 def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
@@ -128,9 +131,8 @@ def membership_sampled(
 
 def _circle_verdict(margins: np.ndarray, grid: PolarGrid, values: str = "") -> MembershipVerdict:
     """Verdict of margins sampled on the grid's outer circle ``grid.radii()[-1:]``."""
-    circle = f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)"
-    description = f"{values}{circle}, where the {grid.describe()} has its minimum (minimum principle)"
-    v = verdict_from_margins(margins, (grid.radii()[-1:], grid.phases()), description)
+    circle, where = grid._outer_circle_text
+    v = verdict_from_margins(margins, (grid.radii()[-1:], grid.phases()), values + where)
     return v if v.holds else replace(v, evidence=f"{v.evidence} on {circle}")
 
 
@@ -167,8 +169,8 @@ def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> 
     """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    margins = np.real(eval_rings(F.derivative(), grid.radii()[-1:], grid.n_angles))
-    return _circle_verdict(margins, grid)
+    slope = F.coeffs[1:] * np.arange(1, len(F.coeffs))  # the coefficients of F'
+    return _circle_verdict(np.real(_eval_stack(slope, grid.radii()[-1:], grid.n_angles)), grid)
 
 
 def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:
@@ -181,5 +183,5 @@ def half_plane_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> Membe
     """
     _check_normalized(F, want_unit_slope=True, label="F")
     grid = grid or PolarGrid()
-    ratio = eval_rings(TruncatedSeries._derived(F.coeffs[1:]), grid.radii()[-1:], grid.n_angles)
+    ratio = _eval_stack(F.coeffs[1:], grid.radii()[-1:], grid.n_angles)
     return _circle_verdict(np.real(ratio) - 0.5, grid)

@@ -25,8 +25,9 @@ class PolarGrid:
     dropped, the outermost circle is included); angles are uniform.  The
     clustering of nodes near the outer circle matters because inequality
     extrema of low-order series occur there.  A grid computes its radii and
-    phases once and hands out the same read-only arrays; they are not
-    fields, so equality, hashing and repr see only the three parameters.
+    phases once and hands out the same read-only arrays, and it formats the
+    text of a verdict on its outer circle once; these are not fields, so
+    equality, hashing and repr see only the three parameters.
     """
 
     max_radius: float = 0.95
@@ -48,6 +49,12 @@ class PolarGrid:
     @cached_property
     def _phases(self) -> np.ndarray:
         return _read_only(np.exp(1j * self.angles()))
+
+    @cached_property
+    def _outer_circle_text(self) -> tuple[str, str]:
+        """The outer circle's name, and the text of a verdict sampled there (minimum principle)."""
+        circle = f"circle |z| = {self.max_radius} ({self.n_angles} angles)"
+        return circle, f"{circle}, where the {self.describe()} has its minimum (minimum principle)"
 
     def radii(self) -> np.ndarray:
         """Ascending radii in (0, max_radius]; the last is exactly max_radius."""
@@ -72,9 +79,10 @@ class PolarGrid:
 class MembershipVerdict:
     """Outcome of a sampled inequality test.
 
-    A failing verdict is conclusive: the witness point violates the tested
-    inequality.  A holding verdict is one-sided evidence, recorded in
-    ``evidence`` as "not falsified" at the sampled resolution.
+    A failing verdict names a witness point where the sampled margin is not
+    positive; it is conclusive unless that margin is within rounding of 0.
+    A holding verdict is one-sided evidence, recorded in ``evidence`` as
+    "not falsified" at the sampled resolution.
     """
 
     holds: bool
@@ -106,8 +114,9 @@ def verdict_from_margins(
     margin means the sampled values overflowed; that is a DomainError, not
     a verdict.
     """
-    flat = np.ascontiguousarray(np.real(margins)).ravel()
-    idx = int(np.argmin(flat))
+    margins = np.asarray(margins)
+    flat = (margins.real if margins.dtype.kind == "c" else margins).ravel()
+    idx = int(flat.argmin())
     margin = float(flat[idx])
     if not math.isfinite(margin):
         raise DomainError(f"sampled margin is not finite ({margin}): the values overflowed")

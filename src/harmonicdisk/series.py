@@ -30,7 +30,9 @@ A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`
 multiplies ``r**(k - k % 64)`` by ``r**(k % 64)`` from two small tables,
 which agrees with ``pow`` to two ulp.  Each entry depends only on the
 radius and the index, so any two tables that hold ``r**k`` hold the same
-bits, whatever blocks a caller cuts the indices into.
+bits, whatever blocks a caller cuts the indices into.  A small table is one
+``pow`` call, unless one of its powers can underflow; then the powers past
+the underflow cut are skipped (:func:`_pow_table`).
 
 Public constructors validate; a series derived from a valid series
 (derivatives, padding, the operator and slice series) is
@@ -43,6 +45,7 @@ handed back to callers (``convolve`` writes a document from them).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -383,8 +386,13 @@ def _pow_table(radii: np.ndarray, k: np.ndarray) -> np.ndarray:
     Entries whose log2 lies below :data:`_UNDERFLOW_LOG2` round to zero, so
     they are not computed.  In :func:`_radius_powers` an entry past the cut
     is 0 too: either a factor is past it, or the two factors' product lies
-    below ``2**-1100`` and rounds to 0.
+    below ``2**-1100`` and rounds to 0.  When no entry can reach the cut
+    (the last exponent, the largest, times log2 of the smallest radius lies
+    above it), the table is one plain ``pow`` call.  Its bits are the masked
+    call's either way, since ``pow`` of an entry past the cut is 0 as well.
     """
+    if len(radii) and k[-1] * math.log2(max(min(radii.tolist()), _SMALLEST_SUBNORMAL)) > _UNDERFLOW_LOG2:
+        return np.power(radii[:, None], k)
     log2r = np.log2(np.maximum(radii, _SMALLEST_SUBNORMAL))[:, None]
     powers = np.zeros((len(radii), len(k)))
     np.power(radii[:, None], k, out=powers, where=k * log2r > _UNDERFLOW_LOG2)

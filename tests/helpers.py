@@ -277,6 +277,28 @@ def slice_membership_per_series(
     return replace(v, samples=n_eps * margins.size)
 
 
+def outer_circle_verdict_per_series(margins: np.ndarray, grid: PolarGrid, values: str = "") -> MembershipVerdict:
+    """The verdict of margins sampled on the grid's outer circle, its text formatted for this call."""
+    circle = f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)"
+    where = f"where the {grid.describe()} has its minimum (minimum principle)"
+    v = verdict_from_margins(margins, (grid.radii()[-1:], grid.phases()), f"{values}{circle}, {where}")
+    return v if v.holds else replace(v, evidence=f"{v.evidence} on {circle}")
+
+
+def close_to_convex_per_series(F: TruncatedSeries, grid: PolarGrid) -> MembershipVerdict:
+    """Re F' on the outer circle from the derived series F', folded alone."""
+    ring = grid.radii()[-1:]
+    margins = np.real(eval_rings_per_series(F.derivative(), ring, grid.n_angles))
+    return outer_circle_verdict_per_series(margins, grid)
+
+
+def half_plane_per_series(F: TruncatedSeries, grid: PolarGrid) -> MembershipVerdict:
+    """Re(F/z) - 1/2 on the outer circle from the shifted series F/z, folded alone."""
+    ring = grid.radii()[-1:]
+    ratio = eval_rings_per_series(TruncatedSeries(F.coeffs[1:]), ring, grid.n_angles)
+    return outer_circle_verdict_per_series(np.real(ratio) - 0.5, grid)
+
+
 def starlike_on_circle_per_series(f: HarmonicMap, r: float, n: int) -> MembershipVerdict:
     fv, rate = rings_per_series(f, [r], n)[0], rings_per_series(f, [r], n, 1)[0]
     return verdict_from_margins(np.imag(rate / fv), circle_axes(r, n), f"{n} samples on circle r={r}")

@@ -259,6 +259,20 @@ class TestGrowthCommand:
         code, out = run(capsys, ["growth", *PFLAGS, "--in", extremal_doc])
         assert code == 0 and out["envelope"]["holds"] is True
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_an_internal_fault(self, capsys):
+        # budget and weight both overflow at gamma 1e308, so the growth sums
+        # are NaN; NaN is not JSON, and a result holding one is a fault
+        def reject(constant):
+            raise AssertionError(f"{constant} in the output")
+
+        code = run_command(["growth", "--gamma", "1e308", "--delta", "1.7e308", "--lambda", "0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        out = json.loads(captured.out, parse_constant=reject)
+        assert out["error"].startswith("internal error: ValueError: Out of range float values are not JSON compliant")
+        assert "Traceback" in captured.err
+
 
 class TestOracleCommand:
     def test_starlike_oracle(self, capsys, extremal_doc):

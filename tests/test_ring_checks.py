@@ -371,6 +371,20 @@ class TestSharedFold:
         assert _bits(starlike_on_circle(f, r, n)) == _bits(helpers.starlike_on_circle_per_series(f, r, n))
         assert _bits(convex_on_circle(f, r, n)) == _bits(helpers.convex_on_circle_per_series(f, r, n))
 
+    @pytest.mark.parametrize("max_radius", [0.001, 0.95])
+    @pytest.mark.parametrize("eps, tail", [(1.0, 1.0), (np.exp(0.7j), 1.0), (-1j, 40.0)])
+    def test_close_to_convex_and_half_plane(self, label, p, f, n, max_radius, eps, tail):
+        """The analytic checks against the derived series F' and F/z, each folded alone.
+
+        A tail scaled by 40 makes most slices fail on |z| = 0.95, so the
+        failing evidence and its witness are compared too.
+        """
+        F = f.analytic_slice(eps)
+        F = TruncatedSeries(np.concatenate((F.coeffs[:2], tail * F.coeffs[2:])))
+        grid = PolarGrid(max_radius=max_radius, n_radii=5, n_angles=n)
+        assert _bits(close_to_convex_check(F, grid)) == _bits(helpers.close_to_convex_per_series(F, grid))
+        assert _bits(half_plane_check(F, grid)) == _bits(helpers.half_plane_per_series(F, grid))
+
 
 def test_one_power_table_per_block(monkeypatch):
     """The radius powers of a block are computed once for all rows."""

@@ -6,7 +6,15 @@ from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries
 from harmonicdisk.membership import apply_operator, operator_coeffs
-from harmonicdisk.series import _EDGE_SLACK, _UNDERFLOW_LOG2, _radius_powers, eval_many, eval_rings
+from harmonicdisk.series import (
+    _EDGE_SLACK,
+    _LOW_EXPONENTS,
+    _UNDERFLOW_LOG2,
+    _pow_table,
+    _radius_powers,
+    eval_many,
+    eval_rings,
+)
 
 from helpers import EPS, circle_points, mixed_order_map, random_params, ring_rounding_bound, random_series
 
@@ -215,6 +223,48 @@ class TestRadiusPowers:
         if k0 == 0:
             expected[0] = 1.0
         assert got.tobytes() == expected.tobytes()
+
+
+class TestPowTable:
+    """A pow table computed whole has the bits of one whose entries past the underflow cut are skipped."""
+
+    RADII = np.array([0.0, 5e-324, 1e-300, 0.001, 0.5, 0.95, 1.0])
+
+    @staticmethod
+    def _masked(radii, k):
+        """pow on the entries above the cut only, the others left at 0."""
+        log2r = np.log2(np.maximum(radii, np.finfo(np.float64).smallest_subnormal))[:, None]
+        out = np.zeros((len(radii), len(k)))
+        np.power(radii[:, None], k, out=out, where=k * log2r > _UNDERFLOW_LOG2)
+        return out
+
+    # k * log2(r) crosses the cut at k of about 1.02 for 5e-324, 1.1 for 1e-300,
+    # 110 for 0.001 and 1100 for 0.5; the last two tables are the low and
+    # high exponents of :func:`_radius_powers`
+    EXPONENTS = [
+        np.array([0.0]),
+        np.array([0.0, 1.0]),
+        np.arange(0.0, 3.0),
+        np.arange(0.0, 64.0),
+        np.arange(64.0, 200.0),
+        np.arange(1050.0, 1150.0),
+        np.arange(4096.0, 4160.0),
+        np.concatenate((_LOW_EXPONENTS, np.arange(0.0, 20000.0, 64.0))),
+        np.concatenate((_LOW_EXPONENTS, np.arange(1024.0, 1216.0, 64.0))),
+    ]
+
+    @pytest.mark.parametrize("k", EXPONENTS, ids=lambda k: f"{k[0]:g}..{k[-1]:g}")
+    def test_unmasked_table_is_the_masked_one(self, k):
+        whole = self.RADII[:, None] ** k
+        assert whole.tobytes() == self._masked(self.RADII, k).tobytes()
+        assert _pow_table(self.RADII, k).tobytes() == whole.tobytes()
+        for i in range(len(self.RADII)):
+            for radii in (self.RADII[i : i + 1], self.RADII[i:], self.RADII[: i + 1]):
+                assert _pow_table(radii, k).tobytes() == self._masked(radii, k).tobytes(), (radii, k)
+
+    @pytest.mark.parametrize("k", EXPONENTS, ids=lambda k: f"{k[0]:g}..{k[-1]:g}")
+    def test_no_radii(self, k):
+        assert _pow_table(np.empty(0), k).shape == (0, len(k))
 
 
 class TestDerivative:
