@@ -9,7 +9,7 @@ slices ``s + eps*t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,8 +113,10 @@ class HarmonicMap:
         eps = _as_complex(eps, "slice parameter eps")
         if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails this comparison
             raise DomainError(f"slice parameter must satisfy |eps| = 1, got |eps| = {abs(eps)}")
-        n = max(self.s.order, self.t.order)
-        return TruncatedSeries._derived(self.s.pad_to(n).coeffs + eps * self.t.pad_to(n).coeffs)
+        s, t = self.s, self.t
+        if s.order != t.order:
+            s, t = s.pad_to(self.order), t.pad_to(self.order)
+        return TruncatedSeries._derived(s.coeffs + eps * t.coeffs)
 
 
 def _ring_orders(f: HarmonicMap, radii: np.ndarray, n: int, orders) -> np.ndarray:
@@ -204,5 +206,6 @@ def sense_preserving_check(f: HarmonicMap, grid: PolarGrid | None = None) -> Mem
     radii = grid.radii()
     sp, tp = _eval_stack(_stack(f.s.derivative().coeffs, f.t.derivative().coeffs), radii, grid.n_angles)
     margins = np.abs(sp) - np.abs(tp)
-    v = verdict_from_margins(margins, (radii, grid.phases()), grid.describe())
-    return replace(v, near_degenerate=v.holds and v.margin < NEAR_DEGENERATE_MARGIN)
+    return verdict_from_margins(
+        margins, (radii, grid.phases()), grid.describe(), near_degenerate_below=NEAR_DEGENERATE_MARGIN
+    )

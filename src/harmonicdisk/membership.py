@@ -35,7 +35,7 @@ former's calls, and a test pins the latter bit for bit to ``polyval``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,11 +129,14 @@ def membership_sampled(
     return verdict_from_margins(margins, (grid.radii(), grid.phases()), grid.describe())
 
 
-def _circle_verdict(margins: np.ndarray, grid: PolarGrid, values: str = "") -> MembershipVerdict:
+def _circle_verdict(
+    margins: np.ndarray, grid: PolarGrid, values: str = "", samples: int | None = None
+) -> MembershipVerdict:
     """Verdict of margins sampled on the grid's outer circle ``grid.radii()[-1:]``."""
-    circle, where = grid._outer_circle_text
-    v = verdict_from_margins(margins, (grid.radii()[-1:], grid.phases()), values + where)
-    return v if v.holds else replace(v, evidence=f"{v.evidence} on {circle}")
+    on_circle, where = grid._outer_circle_text
+    return verdict_from_margins(
+        margins, (grid.radii()[-1:], grid.phases()), values + where, samples=samples, failing_suffix=on_circle
+    )
 
 
 def slice_membership_sampled(
@@ -152,13 +155,13 @@ def slice_membership_sampled(
     ring = grid.radii()[-1:]
     rows = _stack(operator_coeffs(f.s, p).coeffs, operator_coeffs(f.t, p).coeffs)
     ls, lt = _eval_stack(rows, ring, grid.n_angles)
-    eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
-    # one eps at a time, so memory does not grow with n_eps
-    margins = np.real(ls + eps[0] * lt) - p.lam
-    for e in eps[1:]:
-        np.minimum(margins, np.real(ls + e * lt) - p.lam, out=margins)
-    v = _circle_verdict(margins, grid, f"{n_eps} slice values on ")
-    return replace(v, samples=n_eps * margins.size)
+    eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)[:, None, None]
+    # blocks of 4 roots, so memory does not grow with n_eps; np.minimum and
+    # the min over a block take the same elementwise minima in the same order
+    margins = (np.real(ls + eps[:4] * lt) - p.lam).min(axis=0)
+    for i in range(4, n_eps, 4):
+        np.minimum(margins, (np.real(ls + eps[i : i + 4] * lt) - p.lam).min(axis=0), out=margins)
+    return _circle_verdict(margins, grid, f"{n_eps} slice values on ", n_eps * margins.size)
 
 
 def close_to_convex_check(F: TruncatedSeries, grid: PolarGrid | None = None) -> MembershipVerdict:

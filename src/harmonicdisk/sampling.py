@@ -52,9 +52,13 @@ class PolarGrid:
 
     @cached_property
     def _outer_circle_text(self) -> tuple[str, str]:
-        """The outer circle's name, and the text of a verdict sampled there (minimum principle)."""
+        """The evidence suffix of a failing verdict sampled on the outer circle, and the text of a holding one.
+
+        The circle is where the grid's harmonic margins have their minimum
+        (minimum principle).
+        """
         circle = f"circle |z| = {self.max_radius} ({self.n_angles} angles)"
-        return circle, f"{circle}, where the {self.describe()} has its minimum (minimum principle)"
+        return f" on {circle}", f"{circle}, where the {self.describe()} has its minimum (minimum principle)"
 
     def radii(self) -> np.ndarray:
         """Ascending radii in (0, max_radius]; the last is exactly max_radius."""
@@ -97,6 +101,10 @@ def verdict_from_margins(
     margins: np.ndarray,
     axes: tuple[Sequence[float] | np.ndarray, Sequence[complex] | np.ndarray],
     description: str,
+    *,
+    samples: int | None = None,
+    near_degenerate_below: float = 0.0,
+    failing_suffix: str = "",
 ) -> MembershipVerdict:
     """Reduce margins sampled on rings to a verdict.
 
@@ -113,6 +121,14 @@ def verdict_from_margins(
     lexicographically first (radius, angle) index.  A NaN or infinite
     margin means the sampled values overflowed; that is a DomainError, not
     a verdict.
+
+    The keywords complete the record, which is built once:
+
+    - *samples* is the recorded sample count (default: the number of
+      margins), for a check whose margins reduce more samples than they hold;
+    - a holding verdict with margin below *near_degenerate_below* is flagged
+      ``near_degenerate`` (the default 0 flags none);
+    - *failing_suffix* is appended to the evidence of a failing verdict.
     """
     margins = np.asarray(margins)
     flat = (margins.real if margins.dtype.kind == "c" else margins).ravel()
@@ -122,16 +138,20 @@ def verdict_from_margins(
         raise DomainError(f"sampled margin is not finite ({margin}): the values overflowed")
     radii, phases = axes
     i, j = divmod(idx, len(phases))
-    witness = complex(radii[i] * phases[j])
     holds = margin > 0.0
     if holds:
         evidence = f"not falsified at {description}"
     else:
-        evidence = f"violated at witness (margin {margin:.6e})"
-    return MembershipVerdict(
+        evidence = f"violated at witness (margin {margin:.6e}){failing_suffix}"
+    # filled without a class call: the frozen __init__ makes one
+    # object.__setattr__ call per field
+    verdict = object.__new__(MembershipVerdict)
+    verdict.__dict__.update(
         holds=holds,
         margin=margin,
-        witness=witness,
-        samples=flat.size,
+        witness=complex(radii[i] * phases[j]),
+        samples=flat.size if samples is None else samples,
+        near_degenerate=holds and margin < near_degenerate_below,
         evidence=evidence,
     )
+    return verdict

@@ -26,6 +26,9 @@ powers is computed once for all rows, and then runs one inverse FFT over
 the stack
 (:func:`_eval_stack`).  Each row's values are bitwise those of the series
 folded and transformed alone; :func:`eval_rings` is the one-row case.
+:func:`_fold` cuts the indices into blocks aligned to n, so each block is
+one multiply and one add; :func:`_fold_powers` adds a table whose block is
+not aligned, as the growth envelope's are, one run of columns at a time.
 A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`
 multiplies ``r**(k - k % 64)`` by ``r**(k % 64)`` from two small tables,
 which agrees with ``pow`` to two ulp.  Each entry depends only on the
@@ -117,12 +120,17 @@ def _as_complex_vector(values, what: str) -> np.ndarray:
 
 
 def _check_disk(z) -> None:
-    """Raise DomainError unless *z*, a number or an array, lies in the closed unit disk."""
+    """Raise DomainError unless *z*, a number or an array, lies in the closed unit disk.
+
+    Points in the disk pass one test on the largest modulus, which a NaN
+    fails; the test that names what is wrong runs only after that one fails.
+    """
+    r = float(np.max(np.abs(z))) if np.size(z) else 0.0
+    if r <= 1.0 + _EDGE_SLACK:
+        return
     if not np.all(np.isfinite(z)):
         raise DomainError("evaluation points must be finite")
-    r = float(np.max(np.abs(z))) if np.size(z) else 0.0
-    if r > 1.0 + _EDGE_SLACK:
-        raise DomainError(f"evaluation points must satisfy |z| <= 1, got |z| = {r}")
+    raise DomainError(f"evaluation points must satisfy |z| <= 1, got |z| = {r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,25 +299,29 @@ def _fold(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
 
     *coeffs* is one coefficient row of length K or a stack of such rows,
     shape ``(..., K)``.  The rows are folded one block of n indices at a
-    time, and the block's radius powers are computed once for every row.
-    The inverse DFT of the result along the angles gives the ring values.
+    time, and the block's radius powers are computed once for every row.  A
+    block starts at a multiple of n, so its indices land on the columns
+    ``0, 1, ...`` in order and the block is one multiply and one add.  The
+    inverse DFT of the result along the angles gives the ring values.
     """
     folded = np.zeros((*coeffs.shape[:-1], len(radii), n), dtype=np.complex128)
     order = coeffs.shape[-1]
     for k0 in range(0, order, n):
-        k = np.arange(k0, min(k0 + n, order), dtype=np.float64)
-        _fold_powers(folded, coeffs, _radius_powers(radii, k), k0)
+        k1 = min(k0 + n, order)
+        folded[..., : k1 - k0] += coeffs[..., None, k0:k1] * _radius_powers(radii, np.arange(float(k0), k1))
     return folded
 
 
 def _fold_powers(folded: np.ndarray, coeffs: np.ndarray, powers: np.ndarray, k0: int) -> None:
     """Add ``coeffs[..., k] * powers[:, k - k0]`` onto column ``k mod n`` of *folded*, in place.
 
-    *powers* is a table of radius powers for the indices ``k0, k0 + 1, ...``;
-    indices past the last coefficient are ignored.  Each run of indices that
-    lands on consecutive columns is one multiply and one add, and the runs go
-    in increasing k, so every column receives its terms in the order of
-    :func:`_fold` whatever block of indices the table covers.
+    *powers* is a table of radius powers for the indices ``k0, k0 + 1, ...``,
+    where k0 need not be a multiple of n (the growth envelope cuts its tables
+    by its own block size); indices past the last coefficient are ignored.
+    Each run of indices that lands on consecutive columns is one multiply and
+    one add, and the runs go in increasing k, so every column receives its
+    terms in the order of :func:`_fold` whatever block of indices the table
+    covers.
     """
     n = folded.shape[-1]
     end = min(k0 + powers.shape[-1], coeffs.shape[-1])

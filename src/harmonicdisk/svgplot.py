@@ -46,7 +46,8 @@ def render_svg(polylines: Sequence[CirclePolyline]) -> str:
     font_size = _fmt(0.04 * span)
     for i, poly in enumerate(polylines):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = [f"{_fmt(float(p.real))},{_fmt(float(-p.imag))}" for p in poly.points]
+        # formatting Python floats from tolist makes no numpy scalar per point
+        coords = map("{:.6g},{:.6g}".format, poly.points.real.tolist(), (-poly.points.imag).tolist())
         d = "M " + " L ".join(coords) + " Z"
         lines.append(
             f'<path d="{d}" fill="none" stroke="{color}" stroke-width="{stroke_width}"/>'

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmonicdisk import (
@@ -29,6 +31,7 @@ from harmonicdisk import (
 )
 from harmonicdisk import cli
 from harmonicdisk.cli import run_command
+from harmonicdisk.geometry import CirclePolyline
 from harmonicdisk.svgplot import emit_svg, render_svg
 
 P110 = ClassParams(1, 1, 0)
@@ -457,6 +460,26 @@ class TestSvgEmitter:
     def test_render_deterministic(self):
         polys = [circle_image(identity_map(), r, 128) for r in (0.25, 0.5, 0.75)]
         assert render_svg(polys) == render_svg(polys)
+
+    def test_paths_equal_the_per_point_form(self):
+        """Each path's coordinates are the per-point ``f"{float(x):.6g}"`` text of x and -y.
+
+        The seeded points include both signed zeros, subnormal-scale and
+        huge coordinates and six-digit rounding ties.
+        """
+        rng = np.random.default_rng(57)
+        polys = []
+        for k, n in enumerate((64, 97, 256)):
+            pts = rng.normal(scale=10.0 ** int(rng.integers(-3, 4)), size=n) + 1j * rng.normal(size=n)
+            special = [0.0, -0.0, 1e-300, -1e-300, 1e300, 123456.5, 1.0000005, -2.5e-7]
+            pts[: len(special)] = np.array(special) + 1j * np.array(special[::-1])
+            pts[len(special)] = complex(-0.0, -0.0)
+            polys.append(CirclePolyline(radius=0.3 + 0.2 * k, points=pts, n=n))
+        paths = re.findall(r'<path d="M ([^"]*) Z"', render_svg(polys))
+        assert paths == [
+            " L ".join(f"{float(p.real):.6g},{float(-p.imag):.6g}" for p in poly.points) for poly in polys
+        ]
+        assert " -0,0 " in paths[0] and ",-0 " in paths[0] and "1e-300" in paths[0]
 
     def test_emit_to_stream_and_labels(self):
         import io

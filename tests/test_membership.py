@@ -267,6 +267,52 @@ class TestSliceMembership:
             assert (v.holds, v.margin, v.witness) == (ref.holds, ref.margin, ref.witness)
             assert v.samples == n_eps * grid.n_angles
 
+    @pytest.mark.parametrize("n_eps", [4, 5, 7, 16, 17, 33])
+    def test_equals_per_root_loop(self, n_eps):
+        """Every field equals, bit for bit, the minimum over the roots taken one root at a time.
+
+        The n_eps values cover one block of roots, a short last block of 1
+        and of 3 roots, whole blocks, and blocks past a single one.  The
+        overweight map and every third random member, scaled far past the
+        class bound, give failing verdicts, whose evidence is compared too.
+        """
+        rng = np.random.default_rng(4100 + n_eps)
+        cases = [(P110, overweight_map(), PolarGrid(max_radius=0.99))]
+        for k in range(15):
+            p = random_params(rng)
+            f = random_member(p, rng, order=int(rng.integers(2, 40)))
+            if k % 3 == 0:
+                f = HarmonicMap(f.s, TruncatedSeries(300.0 * f.t.coeffs))
+            grid = PolarGrid(
+                max_radius=float(rng.uniform(0.1, 0.99)),
+                n_radii=int(rng.integers(1, 30)),
+                n_angles=int(rng.integers(4, 120)),
+            )
+            cases.append((p, f, grid))
+        outcomes = set()
+        for p, f, grid in cases:
+            ring = grid.radii()[-1:]
+            ls, lt = (eval_rings(operator_coeffs(h, p), ring, grid.n_angles) for h in (f.s, f.t))
+            eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
+            margins = np.real(ls + eps[0] * lt) - p.lam
+            for e in eps[1:]:
+                margins = np.minimum(margins, np.real(ls + e * lt) - p.lam)
+            ref = verdict_from_margins(margins, (ring, grid.phases()), "")
+            v = slice_membership_sampled(f, p, n_eps=n_eps, grid=grid)
+            circle = f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)"
+            if ref.holds:
+                where = f"{circle}, where the {grid.describe()} has its minimum (minimum principle)"
+                evidence = f"not falsified at {n_eps} slice values on {where}"
+            else:
+                evidence = f"{ref.evidence} on {circle}"
+            assert v.holds == ref.holds and not v.near_degenerate
+            assert np.float64(v.margin).tobytes() == np.float64(ref.margin).tobytes()
+            assert np.complex128(v.witness).tobytes() == np.complex128(ref.witness).tobytes()
+            assert v.samples == n_eps * grid.n_angles
+            assert v.evidence == evidence
+            outcomes.add(v.holds)
+        assert outcomes == {True, False}
+
     def test_memory_does_not_grow_with_slices(self):
         def peak(n_eps):
             tracemalloc.start()

@@ -12,6 +12,9 @@ the whole grid, so the comparison checks that the grid's minimum lies on
 that circle (minimum principle).
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -37,7 +40,8 @@ from harmonicdisk import (
 from harmonicdisk import geometry
 from harmonicdisk import series as series_module
 from harmonicdisk.closure import random_member
-from harmonicdisk.sampling import verdict_from_margins
+from harmonicdisk.maps import NEAR_DEGENERATE_MARGIN
+from harmonicdisk.sampling import MembershipVerdict, verdict_from_margins
 from harmonicdisk.series import eval_rings
 
 import helpers
@@ -272,6 +276,53 @@ def test_non_finite_margin_is_a_domain_error(bad):
         margins[:] = bad
     with pytest.raises(DomainError, match=r"sampled margin is not finite \((nan|-?inf)\)"):
         verdict_from_margins(margins, (np.array([0.5, 0.9]), np.exp(2j * np.pi * np.arange(8) / 8)), "")
+
+
+@pytest.mark.parametrize(
+    "low",
+    [
+        -0.25,
+        -0.0,
+        0.0,
+        5e-324,
+        np.nextafter(NEAR_DEGENERATE_MARGIN, 0.0),
+        NEAR_DEGENERATE_MARGIN,
+        np.nextafter(NEAR_DEGENERATE_MARGIN, 1.0),
+        0.5,
+    ],
+)
+@pytest.mark.parametrize("samples", [None, 7 * 16])
+@pytest.mark.parametrize("suffix", ["", " on circle |z| = 0.9 (8 angles)"])
+def test_verdict_keywords_equal_replace_of_the_plain_verdict(low, samples, suffix):
+    """samples, near_degenerate_below and failing_suffix give the record that ``replace`` gives.
+
+    The margins straddle NEAR_DEGENERATE_MARGIN by one ulp and include both
+    signed zeros (which fail), so the flag, the failing suffix and the
+    margin's sign bit are all compared; repr tells -0.0 from 0.0.
+    """
+    margins = np.full((2, 8), 0.75)
+    margins[1, 5] = low
+    axes = (np.array([0.5, 0.9]), np.exp(2j * np.pi * np.arange(8) / 8))
+    plain = verdict_from_margins(margins, axes, "a 2x8 grid")
+    ref = dataclasses.replace(
+        plain,
+        samples=plain.samples if samples is None else samples,
+        near_degenerate=plain.holds and plain.margin < NEAR_DEGENERATE_MARGIN,
+        evidence=plain.evidence if plain.holds else plain.evidence + suffix,
+    )
+    v = verdict_from_margins(
+        margins, axes, "a 2x8 grid", samples=samples, near_degenerate_below=NEAR_DEGENERATE_MARGIN, failing_suffix=suffix
+    )
+    assert type(v) is MembershipVerdict
+    assert [repr(getattr(v, f.name)) for f in dataclasses.fields(v)] == [
+        repr(getattr(ref, f.name)) for f in dataclasses.fields(ref)
+    ]
+    assert v == ref and hash(v) == hash(ref) and repr(v) == repr(ref)
+    assert pickle.loads(pickle.dumps(v)) == ref and dataclasses.replace(v) == ref
+    assert dataclasses.asdict(v) == dataclasses.asdict(ref)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.margin = 1.0
+    assert plain.near_degenerate is False and plain.samples == margins.size
 
 
 @pytest.mark.parametrize("grid", GRIDS)

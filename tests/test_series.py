@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,25 @@ class TestEvaluate:
     def test_eval_many_rejects_what_evaluate_rejects(self, z):
         with pytest.raises(DomainError):
             eval_many(TruncatedSeries([0, 1]), np.array(z))
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ([0.5, float("nan")], "evaluation points must be finite"),
+            ([2.0, float("nan")], "evaluation points must be finite"),
+            ([0.5, float("inf")], "evaluation points must be finite"),
+            ([complex(0.5, float("-inf")), 2.0], "evaluation points must be finite"),
+            ([1 + 1e-9], "evaluation points must satisfy |z| <= 1, got |z| = 1.000000001"),
+            ([0.5j, -2.0, 0.1], "evaluation points must satisfy |z| <= 1, got |z| = 2.0"),
+        ],
+    )
+    def test_eval_many_names_what_is_wrong(self, z, message):
+        """A non-finite point is named before a point outside the disk, whatever their order."""
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            eval_many(TruncatedSeries([0, 1]), np.array(z))
+        if len(z) == 1:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                TruncatedSeries([0, 1]).evaluate(z[0])
 
     def test_eval_many_accepts_no_points(self):
         assert eval_many(TruncatedSeries([0, 1]), np.zeros(0, dtype=complex)).shape == (0,)
