@@ -30,6 +30,12 @@ again.  :func:`membership_sampled` still samples every ring of its grid
 and, like :func:`apply_operator`, evaluates L through the three formal
 derivatives with the Horner kernel: the benchmark's smoke test pins the
 former's calls, and a test pins the latter bit for bit to ``polyval``.
+The kernel's cost follows the nonzero coefficients (see
+:mod:`~harmonicdisk.series`): the derivatives of the full extremal's t,
+which is 0, cost one add per point, and a random member's sparse parts
+pay an add per nonzero coefficient, though still a multiply per index
+below the highest.  :func:`apply_operator` checks its point once and
+hands the three derivatives to the kernel directly.
 """
 
 from __future__ import annotations
@@ -42,14 +48,14 @@ import numpy as np
 from .errors import DomainError, _as_complex, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import TruncatedSeries, _eval_stack, _stack, eval_many
+from .series import TruncatedSeries, _check_disk, _eval_stack, _horner, _stack, eval_many
 
 
-def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
-    """L h on an array of disk points, via the three formal derivatives."""
-    d1 = eval_many(h.derivative(1), z)
-    d2 = eval_many(h.derivative(2), z)
-    d3 = eval_many(h.derivative(3), z)
+def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray, evaluate) -> np.ndarray:
+    """L h on an array of disk points, via the three formal derivatives, each valued by ``evaluate(series, z)``."""
+    d1 = evaluate(h.derivative(1), z)
+    d2 = evaluate(h.derivative(2), z)
+    d3 = evaluate(h.derivative(3), z)
     return p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
 
 
@@ -75,7 +81,9 @@ def operator_coeffs(h: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
 
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:
     """Value of gamma*h'(z) + delta*z*h''(z) + ((delta-gamma)/2)*z^2*h'''(z) for |z| <= 1."""
-    return complex(_operator_values(h, p, np.asarray(_as_complex(z, "evaluation point z"))))
+    z = _as_complex(z, "evaluation point z")
+    _check_disk(z)
+    return complex(_operator_values(h, p, np.asarray(z), _horner))
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,8 @@ def membership_sampled(
     """Sampled defining inequality: margin = min Re[L s] - lam - |L t|."""
     grid = grid or PolarGrid()
     pts = grid.points()
-    ls = _operator_values(f.s, p, pts)
-    lt = _operator_values(f.t, p, pts)
+    ls = _operator_values(f.s, p, pts, eval_many)
+    lt = _operator_values(f.t, p, pts, eval_many)
     margins = np.real(ls) - p.lam - np.abs(lt)
     return verdict_from_margins(margins, (grid.radii(), grid.phases()), grid.describe())
 

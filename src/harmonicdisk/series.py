@@ -8,10 +8,17 @@ threads.
 Values come from one of two kernels.  At one point
 (:meth:`TruncatedSeries.evaluate`) or on an arbitrary array of points
 (:func:`eval_many`), a Horner kernel updates a single output array in place.
-It performs the floating-point operations of
-``numpy.polynomial.polynomial.polyval`` in the same order, so its values are
-bitwise equal to that function's, without the two temporary arrays
-``polyval`` allocates per coefficient.  On whole circles ``|z| = r``
+Its values are bitwise equal to ``numpy.polynomial.polynomial.polyval``'s,
+signed zeros included, without the two temporary arrays ``polyval``
+allocates per coefficient.  Its cost follows the nonzero coefficients: it
+starts at the highest coefficient that is not exactly +0 (keeping at least
+``c[0]``), skips the add of an interior coefficient that is exactly +0, and
+always does the last add, of ``c[0]``.  Every multiply below the start
+stays, because the rounding of ``z*z*...`` is per step.  A skipped add can
+leave a -0 where ``polyval`` has +0; the next add of a coefficient without
+a -0 component turns it into +0 again, but adding a -0 keeps the sign it
+meets.  So a series with a -0 component anywhere skips nothing
+(:func:`_horner` gives the argument).  On whole circles ``|z| = r``
 (:func:`eval_rings`), the samples at n equally spaced angles are a discrete
 Fourier transform of the radius-scaled coefficients, so one FFT per ring
 replaces an order-N Horner pass per point; its values agree with Horner's to
@@ -51,6 +58,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +83,10 @@ DEFAULT_ORDER = 64
 #: not evaluate powers whose log2 lies below this cut, because numpy's ``pow``
 #: takes a slow path for underflowing results.
 _UNDERFLOW_LOG2 = -1100.0
+
+#: The bits of -0.0 read as an int64: a float array holds a -0.0 iff its
+#: int64 view holds this value.
+_NEGATIVE_ZERO_BITS = int(np.array(-0.0).view(np.int64))
 
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -195,6 +207,26 @@ class TruncatedSeries:
         c[0] = 0.0
         return cls(c)
 
+    @cached_property
+    def _horner_terms(self) -> tuple[np.complex128, list]:
+        """The plan of :func:`_horner`: its first coefficient and what each step adds.
+
+        The first is ``c[top]``, with top the index of the highest
+        coefficient that is not exactly +0 (0 if there is none); step j adds
+        ``c[top-1-j]``, or nothing where that coefficient is an interior
+        exact +0 (None in the list).  A series with a -0 component starts
+        at its last coefficient and skips nothing.  The first coefficient
+        is a numpy scalar, so a scalar z is evaluated in numpy's scalar
+        arithmetic, as by ``polyval``; the plan is built once per series.
+        """
+        terms = self.coeffs.tolist()
+        top = len(terms) - 1
+        if not all(terms) and _NEGATIVE_ZERO_BITS not in self.coeffs.view(np.int64).tolist():
+            while top and not terms[top]:
+                top -= 1
+            terms[1:top] = [c or None for c in terms[1:top]]
+        return self.coeffs[top], terms[:top][::-1]
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -221,7 +253,7 @@ class TruncatedSeries:
         """Horner evaluation at a point of the closed unit disk."""
         z = _as_complex(z, "evaluation point z")
         _check_disk(z)
-        return complex(_horner(self.coeffs, z))
+        return complex(_horner(self, z))
 
     def derivative(self, k: int = 1) -> "TruncatedSeries":
         """k-th formal derivative, 0 <= k <= 3.  Order floors at 0."""
@@ -254,21 +286,41 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs * powers)
 
 
-def _horner(coeffs: np.ndarray, z):
+def _horner(series: TruncatedSeries, z):
     """Horner's rule on the points *z*, with one output array updated in place.
 
-    The start ``z*0 + c[-1]`` and each step ``out*z + c`` are the operations
-    of ``polyval``, signed zeros included.  One caveat comes from numpy: an
-    in-place multiply of a one-element array takes its plain scalar loop
-    instead of the vector loop with fused multiply-adds, so a single point
-    passed as a 1-element array may differ from ``polyval`` in the last bits.
-    Scalars, 0-d arrays and arrays of two or more points match bit for bit.
+    The start ``z*0 + c[top]`` and each step ``out*z + c`` are the
+    operations of ``polyval``, with the adds of an exact +0 left out (the
+    plan is :attr:`TruncatedSeries._horner_terms`).  The bits stay
+    ``polyval``'s, when no coefficient has a -0 component:
+
+    - above ``c[top]`` every coefficient is +0, so ``polyval``'s value there
+      is exactly +0+0j, and ``c[top]`` added to the zero ``out*z`` gives
+      the bits it gives added to the zero ``z*0``;
+    - a skipped add of +0 can only leave a -0 part where ``polyval`` has
+      +0; a multiply carries such a difference only into parts that are
+      zero, and the next add of a coefficient with no -0 part, at the
+      latest that of ``c[0]``, which is always done, makes the two values
+      equal: a zero plus +0 is +0 whatever its sign, and a zero plus a
+      nonzero part is that part.
+
+    Adding a -0 part keeps the sign of a zero it meets, so the difference
+    could reach the result; a series with a -0 component therefore skips
+    nothing.
+
+    One caveat comes from numpy: an in-place multiply of a one-element
+    array takes its plain scalar loop instead of the vector loop with fused
+    multiply-adds, so a single point passed as a 1-element array may differ
+    from ``polyval`` in the last bits.  Scalars, 0-d arrays and arrays of two
+    or more points match bit for bit.
     """
+    first, terms = series._horner_terms
     out = z * 0
-    out += coeffs[-1]
-    for c in coeffs[-2::-1]:
+    out += first
+    for c in terms:
         out *= z
-        out += c
+        if c is not None:
+            out += c
     return out
 
 
@@ -276,7 +328,7 @@ def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation on an array of closed-disk points."""
     z = _as_numbers(z, "evaluation points").astype(np.complex128, copy=False)
     _check_disk(z)
-    return _horner(series.coeffs, z)
+    return _horner(series, z)
 
 
 def _ring_radii(radii) -> np.ndarray:

@@ -1,7 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import (
     ClassParams,
@@ -212,6 +214,54 @@ class TestMembershipSampled:
     def test_grid_touching_boundary_rejected(self):
         with pytest.raises(DomainError):
             PolarGrid(max_radius=1.0)
+
+
+def _operator_polyval(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
+    """L h at the points z from numpy's ``polyval`` of the three derivatives."""
+    d1, d2, d3 = (npoly.polyval(z, h.derivative(k).coeffs) for k in (1, 2, 3))
+    return p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
+
+
+def _sparse_maps() -> dict:
+    """The library's own sparse maps, each with its class parameters."""
+    rng = np.random.default_rng(41)
+    p = random_params(rng)
+    mixed = mixed_order_map(rng, 12, 5)
+    return {
+        "random o16": (p, random_member(p, rng, order=16)),
+        "random o512": (p, random_member(p, rng, order=512, max_terms=64)),
+        "extremal full": (p, make_extremal_full(p, 64)),  # t is 0
+        "extremal single": (p, make_extremal_single(p, 3, order=32)),
+        "mixed order, padded": (p, HarmonicMap(mixed.s.pad_to(40), mixed.t.pad_to(24))),
+    }
+
+
+SPARSE_MAPS = _sparse_maps()
+
+
+@pytest.mark.parametrize("name", SPARSE_MAPS)
+class TestSparseMapsMatchPolyval:
+    """Horner skips the adds of zero coefficients; the values stay ``polyval``'s bit for bit."""
+
+    GRID = PolarGrid(max_radius=0.9, n_radii=6, n_angles=40)
+
+    def test_membership_sampled(self, name):
+        p, f = SPARSE_MAPS[name]
+        z = self.GRID.points()
+        margins = np.real(_operator_polyval(f.s, p, z)) - p.lam - np.abs(_operator_polyval(f.t, p, z))
+        ref = verdict_from_margins(margins, (self.GRID.radii(), self.GRID.phases()), self.GRID.describe())
+        v = membership_sampled(f, p, self.GRID)
+        for field in dataclasses.fields(ref):
+            assert repr(getattr(v, field.name)) == repr(getattr(ref, field.name)), field.name
+
+    def test_apply_operator(self, name):
+        p, f = SPARSE_MAPS[name]
+        points = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.6, -0.0),
+                  complex(0.0, 0.7), 0.5 - 0.4j, 0.95 * np.exp(2.5j)]
+        for h in (f.s, f.t):
+            for z in points:
+                ref = complex(_operator_polyval(h, p, np.asarray(complex(z))))
+                assert repr(apply_operator(h, p, z)) == repr(ref), z
 
 
 class TestSliceMembership:

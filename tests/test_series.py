@@ -85,23 +85,109 @@ def _kernel_points(kind: str) -> np.ndarray:
         return np.zeros(0, dtype=np.complex128)
     if kind == "circle":
         return 0.9 * np.exp(2j * np.pi * np.arange(257) / 257)
+    if kind == "origin":
+        return np.zeros(2, dtype=np.complex128)
+    if kind == "signed zeros":
+        # every sign of a zero part, on the origin and on the axes
+        return np.array([complex(x, y) for x in (0.0, -0.0, 0.6, -0.6) for y in (0.0, -0.0, 0.7, -0.7)])
     return PolarGrid(max_radius=0.95, n_radii=7, n_angles=33).points()
+
+
+POINT_KINDS = ["0-d", "empty", "circle", "grid", "origin", "signed zeros"]
+
+#: Scalar points for ``evaluate``: the origin with each sign of its parts, and points on the axes.
+SCALAR_POINTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.5, complex(-0.5, -0.0),
+                 complex(-0.0, 0.8), 0.3 - 0.55j]
+
+
+def _sparse_series(kind: str) -> TruncatedSeries:
+    """An order-40 series with the zero pattern named by *kind*."""
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    if kind == "interior zero runs":
+        c[3:9] = c[12:30] = c[33] = 0.0
+    elif kind == "padded":
+        c[6:] = 0.0  # the leading zeros of pad_to
+    elif kind == "all zero":
+        c[:] = 0.0
+    elif kind == "zero constant":
+        c[0] = c[2:20] = 0.0
+    elif kind == "-0 part":
+        # the last add meets a zero at the origin, so a skipped add would show in its sign
+        c[1:30] = 0.0
+        c[0] = complex(0.25, -0.0)
+    elif kind == "-0 coefficient":
+        c[1:30] = 0.0
+        c[17] = complex(-0.0, 0.0)
+        c[0] = complex(-0.0, -0.0)
+    return TruncatedSeries(c)
+
+
+SPARSE_KINDS = ["interior zero runs", "padded", "all zero", "zero constant", "-0 part", "-0 coefficient"]
 
 
 def _same_bits(out, ref) -> bool:
     return np.shape(out) == np.shape(ref) and np.asarray(out).tobytes() == np.asarray(ref).tobytes()
 
 
-class TestHornerKernel:
-    """Every series value is bitwise equal to numpy's ``polyval``, the reference."""
+def _fuzz_parts(rng: np.random.Generator, n: int, special: np.ndarray, zero_frac: float) -> np.ndarray:
+    """*n* floats: normal draws, a *zero_frac* share set to +0, and a few entries from *special*."""
+    x = rng.standard_normal(n)
+    x[rng.random(n) < zero_frac] = 0.0
+    k = int(rng.integers(0, 3))
+    x[rng.integers(0, n, size=k)] = rng.choice(special, size=k)
+    return x
 
-    @pytest.mark.parametrize("kind", ["0-d", "empty", "circle", "grid"])
+
+class TestHornerKernel:
+    """Every series value is bitwise equal to numpy's ``polyval``, the reference.
+
+    The kernel skips the adds of exact +0 coefficients unless a -0 part is
+    present; the sparse series and signed-zero points test that rule.
+    """
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
     @pytest.mark.parametrize("order", [0, 1, 16, 600])
     def test_eval_many_matches_polyval(self, order, kind):
         rng = np.random.default_rng(order)
         s = random_series(rng, order)
         z = _kernel_points(kind)
         assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
+
+    @pytest.mark.parametrize("point_kind", POINT_KINDS)
+    @pytest.mark.parametrize("kind", SPARSE_KINDS)
+    def test_sparse_eval_many_matches_polyval(self, kind, point_kind):
+        s, z = _sparse_series(kind), _kernel_points(point_kind)
+        assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
+
+    @pytest.mark.parametrize("kind", SPARSE_KINDS)
+    def test_sparse_evaluate_matches_polyval(self, kind):
+        s = _sparse_series(kind)
+        for z in SCALAR_POINTS:
+            assert _same_bits(s.evaluate(z), complex(npoly.polyval(complex(z), s.coeffs)))
+
+    def test_seeded_fuzz(self):
+        """Sparse series with -0 parts and subnormals, on points with signed-zero parts."""
+        rng = np.random.default_rng(20261019)
+        coeff_special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0])
+        point_special = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5])
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            zero_frac = float(rng.uniform(0.0, 0.95))
+            # complex(x, y) keeps a -0 part, where x + 1j*y can change its sign
+            re, im = (_fuzz_parts(rng, n, coeff_special, zero_frac) for _ in range(2))
+            s = TruncatedSeries([complex(x, y) for x, y in zip(re, im)])
+            m = int(rng.integers(2, 12))
+            radius, angle = rng.uniform(0.0, 0.85, m), rng.uniform(0.0, 2 * np.pi, m)
+            x, y = radius * np.cos(angle), radius * np.sin(angle)
+            for part in (x, y):
+                hits = rng.random(m) < 0.2
+                part[hits] = rng.choice(point_special, size=int(hits.sum()))
+            z = np.array([complex(a, b) for a, b in zip(x, y)])
+            c, z0 = s.coeffs, complex(z[0])
+            assert _same_bits(eval_many(s, z), npoly.polyval(z, c)), (c, z)
+            assert _same_bits(eval_many(s, np.asarray(z0)), npoly.polyval(np.asarray(z0), c)), (c, z0)
+            assert _same_bits(s.evaluate(z0), complex(npoly.polyval(z0, c))), (c, z0)
 
     @pytest.mark.parametrize("kind", ["circle", "grid"])
     def test_signed_zero_leading_coefficient(self, kind):
