@@ -329,3 +329,7 @@ def main() -> None:
         # stdout is closed: send what is left to devnull so the flush at exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,8 +34,12 @@ The kernel's cost follows the nonzero coefficients (see
 :mod:`~harmonicdisk.series`): the derivatives of the full extremal's t,
 which is 0, cost one add per point, and a random member's sparse parts
 pay an add per nonzero coefficient, though still a multiply per index
-below the highest.  :func:`apply_operator` checks its point once and
-hands the three derivatives to the kernel directly.
+below the highest.  On a grid of at least 27,648 points (96x384 has
+36,864) the kernel splits each evaluation into row blocks across the
+CPUs of the process's affinity mask, with the bits unchanged, so every
+verdict is the same under ``taskset`` to one CPU.
+:func:`apply_operator` checks its point once and hands the three
+derivatives to the kernel directly.
 """
 
 from __future__ import annotations

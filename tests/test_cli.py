@@ -406,6 +406,29 @@ class TestClosedStdout:
         assert main_with_closed_stdout(["check", "--in", failing_doc]) == (1, b"")
 
 
+def run_module(module, argv, cwd):
+    """Exit code and stdout of ``python -m module argv`` in a child."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env, cwd=cwd, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+class TestModuleForm:
+    """``python -m harmonicdisk`` and ``python -m harmonicdisk.cli`` run the command line."""
+
+    @pytest.mark.parametrize("module", ["harmonicdisk", "harmonicdisk.cli"])
+    def test_radii_prints_the_document(self, capsys, module, tmp_path):
+        code, out = run_module(module, ["radii", *PFLAGS], tmp_path)
+        assert code == 0
+        assert json.loads(out) == run(capsys, ["radii", *PFLAGS])[1]
+
+    @pytest.mark.parametrize("module", ["harmonicdisk", "harmonicdisk.cli"])
+    def test_missing_input_exits_two(self, module, tmp_path):
+        code, out = run_module(module, ["check", "--in", "missing.json"], tmp_path)
+        assert code == 2 and "error" in json.loads(out)
+
+
 def test_cold_import_leaves_numpy_fft_unloaded():
     # ring sampling reaches numpy.fft at call time, so a CLI start does not load pocketfft
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -6,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries
+from harmonicdisk import ClassParams, DomainError, PolarGrid, TruncatedSeries, series
 from harmonicdisk.membership import apply_operator, operator_coeffs
 from harmonicdisk.series import (
     _EDGE_SLACK,
     _LOW_EXPONENTS,
+    _MIN_PART_POINTS,
     _UNDERFLOW_LOG2,
     _pow_table,
     _radius_powers,
@@ -214,6 +218,124 @@ class TestHornerKernel:
             d1, d2, d3 = (npoly.polyval(z, h.derivative(k).coeffs) for k in (1, 2, 3))
             ref = p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
             assert _same_bits(apply_operator(h, p, complex(z)), complex(ref))
+
+
+def _split_points(kind: str) -> np.ndarray:
+    """Points in the disk for the split kernel: 1-d arrays around the split size, the fine grid and views."""
+    rng = np.random.default_rng(11)
+
+    def disk(n):
+        return rng.uniform(0.0, 0.95, n) * np.exp(2j * np.pi * rng.random(n))
+
+    sizes = {"below": 2 * _MIN_PART_POINTS - 1, "at": 2 * _MIN_PART_POINTS, "above": 2 * _MIN_PART_POINTS + 1,
+             "three parts": 3 * _MIN_PART_POINTS + 1}
+    if kind in sizes:
+        return disk(sizes[kind])
+    grid = PolarGrid(max_radius=0.95, n_radii=96, n_angles=384).points()
+    if kind == "grid":
+        return grid
+    if kind == "transposed grid":
+        return grid.T
+    return disk(4 * _MIN_PART_POINTS + 6)[::2]  # "strided": every other point, odd length
+
+
+SPLIT_POINT_KINDS = ["below", "at", "above", "three parts", "grid", "transposed grid", "strided"]
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def counting_threads(monkeypatch):
+    """Threads the kernel starts, counted; the kernel's ``threading`` is replaced for the test."""
+    counter = type("Counter", (_CountingThread,), {"started": 0})
+    monkeypatch.setattr(series, "threading", types.SimpleNamespace(Thread=counter))
+    return counter
+
+
+def _expected_parts(z: np.ndarray, cpus: int) -> int:
+    return min(cpus, z.size // _MIN_PART_POINTS, len(z)) if z.size >= 2 * _MIN_PART_POINTS else 1
+
+
+class TestSplitKernel:
+    """Horner split into row blocks across threads keeps ``polyval``'s bits.
+
+    The CPU count is patched, so the split runs on a machine of any size;
+    the counted threads show that it did.
+    """
+
+    @pytest.mark.parametrize("point_kind", SPLIT_POINT_KINDS)
+    @pytest.mark.parametrize("kind", ["dense", "interior zero runs", "-0 part", "all zero"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_matches_polyval(self, monkeypatch, counting_threads, cpus, kind, point_kind):
+        monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
+        s = random_series(np.random.default_rng(40), 40) if kind == "dense" else _sparse_series(kind)
+        z = _split_points(point_kind)
+        out = eval_many(s, z)
+        assert _same_bits(out, np.ascontiguousarray(npoly.polyval(z, s.coeffs)))
+        assert counting_threads.started == _expected_parts(z, cpus) - 1
+        assert out.ctypes.data % 64 == 0 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_overflow_in_a_worker_part_raises(self, monkeypatch, cpus):
+        # 1e308*z + 1e308 overflows only where z is near 1, which is the last part
+        monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
+        s = TruncatedSeries([1e308, 1e308])
+        z = np.full(3 * _MIN_PART_POINTS, 0.1 + 0j)
+        z[-_MIN_PART_POINTS:] = 1.0
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            eval_many(s, z)
+        assert threading.active_count() == before
+        with np.errstate(over="ignore"):
+            assert np.isinf(eval_many(s, z)[-1].real)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(series, "_cpu_count", lambda: 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was created")
+
+        monkeypatch.setattr(series, "threading", types.SimpleNamespace(Thread=no_thread))
+        s = random_series(np.random.default_rng(42), 16)
+        z = _split_points("grid")
+        assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
+
+    def test_shared_series_across_threads(self, monkeypatch):
+        monkeypatch.setattr(series, "_cpu_count", lambda: 2)
+        c = random_series(np.random.default_rng(43), 64).coeffs
+        z = _split_points("grid")
+        ref = eval_many(TruncatedSeries(c), z)
+        shared = TruncatedSeries(c)  # its plan is first built by one of the threads
+        results = [None] * 4
+
+        def work(i):
+            results[i] = eval_many(shared, z)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(_same_bits(out, ref) for out in results)
+
+    def test_worker_cpus_come_from_the_affinity_mask(self):
+        if not hasattr(series.os, "sched_getaffinity") or series._sched_getcpu is None:
+            pytest.skip("no CPU affinity on this platform")
+        cpus = series._worker_cpus(64)
+        assert set(cpus) <= series.os.sched_getaffinity(0)
+        assert len(cpus) >= len(series.os.sched_getaffinity(0)) - 1
 
 
 class TestEvalRings:
