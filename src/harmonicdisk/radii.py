@@ -22,10 +22,6 @@ from .maps import ClassParams, HarmonicMap
 
 _BISECTION_CAP = 200
 
-#: Scaled-term threshold of the series divergence detector: tails behaving
-#: like c/m keep |m*term_m| near |c|, tails like c/m^2 push it to zero.
-DIVERGENCE_THRESHOLD = 1e-3
-
 
 def convex_radius_poly(p: ClassParams, r: float) -> float:
     """Cubic whose unique root in (0, 1) is the fully-convex radius.
@@ -142,21 +138,25 @@ def radius_fully_starlike(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Partial-sum solve of the convexity-threshold equation for lambda.
+    """The convexity threshold for lambda at *delta*, and the N-term truncation of its series.
 
-    The driving series has terms asymptotic to (6-2*delta)/((delta-1)*m), so
-    it converges only where that leading coefficient vanishes; the detector
-    flags everything else instead of extrapolating.  ``lam`` is None exactly
-    when ``diverged`` is set.  No extrapolation to the infinite sum is
-    performed: ``partial_sum``, the solved ``lam`` and first-omitted-term
-    error estimates describe the N-term truncation only.
+    The threshold solves 7 - 3*delta = 4*lam + 4*(1-lam)*S for lam, where S
+    is the sum over m >= 1 of [2m(3-delta) + (delta-5)] / [(m+1)(m(delta-1)+2)].
+    For delta > 1 the terms are (6-2*delta)/((delta-1)*m) + O(1/m^2), and at
+    delta = 1 they tend to 2, so S diverges for every delta != 3 (limit
+    comparison with the harmonic series): ``diverged`` is exactly
+    ``delta != 3``.  At delta = 3 the terms are -1/(m+1)^2, so S = 1 - pi^2/6
+    and lam* = 1 - 9/pi^2.  ``lam`` is then that closed form, whatever N, and
+    ``lam_error_estimate`` bounds |lam - lam*|, which is the rounding of the
+    closed form alone; both are None when ``diverged``.  ``partial_sum`` (the
+    N-term sum S_N) and ``first_omitted_term`` (|term_{N+1}|) describe the
+    truncation only; neither enters ``lam``.
     """
 
     delta: float
     n_terms: int
     partial_sum: float
     diverged: bool
-    min_scaled_term: float
     first_omitted_term: float
     lam: float | None = None
     lam_error_estimate: float | None = None
@@ -170,43 +170,35 @@ def _threshold_terms(delta: float, m: np.ndarray) -> np.ndarray:
 
 
 def convexity_threshold_lambda(delta: float, n_terms: int = 10000) -> ThresholdReport:
-    """Solve 7 - 3*delta = 4*lam + 4*(1-lam)*S_N for lam, or report divergence.
+    """The convexity threshold lam* = 1 - 9/pi^2 at delta = 3, divergence at every other delta.
 
-    S_N is the N-term partial sum of
-    sum_m [2m(3-delta) + (delta-5)] / [(m+1)(m(delta-1)+2)].  Divergence is
-    declared when |m*term_m| stays above :data:`DIVERGENCE_THRESHOLD` over
-    the whole window m in [N/2, N]; the detector separates ~1/m tails from
-    ~1/m^2 tails decisively at desk scale but cannot resolve deltas very
-    close to the convergent point.
+    See :class:`ThresholdReport` for why.  *n_terms* sets only the truncation
+    that ``partial_sum`` and ``first_omitted_term`` describe.  The partial
+    sum is taken in blocks of 2^16 terms, so memory does not grow with
+    *n_terms*; time is linear in it.
     """
     delta = _as_real(delta, "delta", 1)
     n_terms = _as_count(n_terms, "n_terms", 10)
-    m = np.arange(1, n_terms + 1, dtype=np.float64)
-    terms = _threshold_terms(delta, m)
-    window = slice(n_terms // 2 - 1, n_terms)
-    min_scaled = float(np.min(np.abs(m[window] * terms[window])))
-    partial = float(np.sum(terms))
-    first_omitted = abs(float(_threshold_terms(delta, np.array([n_terms + 1.0]))[0]))
-    if min_scaled > DIVERGENCE_THRESHOLD:
-        return ThresholdReport(
-            delta=delta,
-            n_terms=n_terms,
-            partial_sum=partial,
-            diverged=True,
-            min_scaled_term=min_scaled,
-            first_omitted_term=first_omitted,
-        )
-    lam = (7.0 - 3.0 * delta - 4.0 * partial) / (4.0 - 4.0 * partial)
-    dlam_ds = 3.0 * (1.0 - delta) / (4.0 * (1.0 - partial) ** 2)
+    partial = 0.0
+    for start in range(1, n_terms + 1, 1 << 16):
+        m = np.arange(start, min(start + (1 << 16), n_terms + 1), dtype=np.float64)
+        partial += float(np.sum(_threshold_terms(delta, m)))
+    lam = error = None
+    if delta == 3.0:
+        # pi, pi^2 and the quotient are each rounded once, to a relative
+        # error of at most 2^-53, and pi enters twice, so x is within about
+        # 4 * 2^-53 * x of 9/pi^2; that is below 4 ulp(x) for x in [1/2, 1),
+        # and 1 - x is exact there (Sterbenz)
+        x = 9.0 / (math.pi * math.pi)
+        lam, error = 1.0 - x, 4.0 * math.ulp(x)
     return ThresholdReport(
         delta=delta,
         n_terms=n_terms,
         partial_sum=partial,
-        diverged=False,
-        min_scaled_term=min_scaled,
-        first_omitted_term=first_omitted,
+        diverged=delta != 3.0,
+        first_omitted_term=abs(float(_threshold_terms(delta, np.array([n_terms + 1.0]))[0])),
         lam=lam,
-        lam_error_estimate=abs(dlam_ds) * first_omitted,
+        lam_error_estimate=error,
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -218,28 +219,57 @@ class TestConvexityThreshold:
     def test_delta_three_converges(self):
         rep = convexity_threshold_lambda(3, 10000)
         assert not rep.diverged
-        # independent recomputation of the partial sum and linear solve
+        # independent recomputation of the partial sum
         s = math.fsum(
             (2 * m * (3 - 3) + (3 - 5)) / ((m + 1) * (m * (3 - 1) + 2))
             for m in range(1, 10001)
         )
         assert rep.partial_sum == pytest.approx(s, abs=1e-12)
-        assert rep.lam == pytest.approx((7 - 9 - 4 * s) / (4 - 4 * s), abs=1e-12)
         # at delta = 3 the terms are -1/(m+1)^2, so the infinite sum is
-        # 1 - zeta(2) and the solved lambda has a closed form
-        s_inf = 1.0 - math.pi**2 / 6
-        lam_inf = (7 - 9 - 4 * s_inf) / (4 - 4 * s_inf)
-        assert rep.lam == pytest.approx(lam_inf, abs=1e-4)
-        assert rep.lam_error_estimate is not None and rep.lam_error_estimate < 1e-6
+        # 1 - zeta(2) and the solved lambda is 1 - 9/pi^2
+        with mpmath.workdps(50):
+            s_inf = 1 - mpmath.pi**2 / 6
+            lam_inf = (7 - 9 - 4 * s_inf) / (4 - 4 * s_inf)
+            assert abs(rep.lam - lam_inf) <= rep.lam_error_estimate
+        assert rep.lam_error_estimate <= 1e-15
 
-    @pytest.mark.parametrize("delta", [1, 2, 5])
+    # S diverges at every delta but 3, however close to 3
+    @pytest.mark.parametrize(
+        "delta",
+        [1, 2, 5, 2.99881, 2.999, 3.0009, math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0), 1e308],
+    )
     def test_divergent_deltas_reported(self, delta):
         rep = convexity_threshold_lambda(delta, 10000)
-        assert rep.diverged and rep.lam is None
-        assert rep.min_scaled_term > radii_mod.DIVERGENCE_THRESHOLD
+        assert rep.diverged and rep.lam is None and rep.lam_error_estimate is None
 
     def test_delta_three_stable_under_window(self):
         assert not convexity_threshold_lambda(3, 2000).diverged
+
+    def test_n_terms_changes_nothing(self):
+        reps = [convexity_threshold_lambda(3, n) for n in (10, 2000, 10000)]
+        assert len({(r.lam, r.lam_error_estimate) for r in reps}) == 1
+
+    @pytest.mark.parametrize("delta", [3, 2, 1e300])
+    def test_partial_sum_across_blocks(self, delta):
+        # three blocks of 2^16 terms and five more
+        n = 3 * (1 << 16) + 5
+        rep = convexity_threshold_lambda(delta, n)
+        d = float(delta)
+        ref = math.fsum(
+            (2 * m * ((3 - d) / d) + (d - 5) / d) / ((m + 1) * (m * ((d - 1) / d) + 2 / d))
+            for m in map(float, range(1, n + 1))
+        )
+        assert rep.partial_sum == pytest.approx(ref, rel=1e-12)
+
+    def test_memory_does_not_grow_with_terms(self):
+        tracemalloc.start()
+        try:
+            convexity_threshold_lambda(3, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one array of 10^7 terms alone is 80 MB
+        assert peak < 4e6
 
     @pytest.mark.parametrize("delta", [2e300, 1e308, sys.float_info.max])
     def test_huge_delta_diverges_with_finite_fields(self, delta):
@@ -247,7 +277,7 @@ class TestConvexityThreshold:
         # lam of -8.6e298 at 2e300, to nan at 1e308
         rep = convexity_threshold_lambda(delta)
         assert rep.diverged and rep.lam is None and rep.lam_error_estimate is None
-        fields = (rep.partial_sum, rep.min_scaled_term, rep.first_omitted_term)
+        fields = (rep.partial_sum, rep.first_omitted_term)
         assert all(math.isfinite(v) for v in fields)
 
     def test_rejects_bad_arguments(self):
