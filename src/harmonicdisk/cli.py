@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Every command prints one JSON result on stdout; ``--verbose`` adds a human
-summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
+Every command prints one JSON result on stdout, in the bytes of
+``json.dumps(result, indent=2)`` (:func:`~harmonicdisk.serialize.dumps`);
+``extremal`` and ``convolve`` print the map document that ``--out`` writes.
+``--verbose`` adds a human summary on stderr.  Exit codes: 0 when everything holds, 1 when any emitted
 verdict fails, 2 on usage or validation errors, 3 on an internal fault, an
 ``InternalConsistencyError`` included (its traceback goes to stderr).  The
 output is strict JSON: a result that holds a NaN or an infinity is an
@@ -21,7 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
+import operator
 import os
 import sys
 import traceback
@@ -89,8 +91,24 @@ def build_parser() -> argparse.ArgumentParser:
 # -- small converters --------------------------------------------------------
 
 
+@functools.cache
+def _field_getter(cls) -> tuple[tuple[str, ...], operator.attrgetter]:
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    return names, operator.attrgetter(*names)
+
+
+def _fields_json(result) -> dict:
+    """The fields of a result dataclass as a ``{field: value}`` dict, with no copy of the values.
+
+    Every result here holds numbers, strings and tuples of numbers, so this
+    prints as ``dataclasses.asdict`` did, without its deep copy.
+    """
+    names, get = _field_getter(type(result))
+    return dict(zip(names, get(result)))
+
+
 def _verdict_json(v: MembershipVerdict) -> dict:
-    return {**dataclasses.asdict(v), "witness": [v.witness.real, v.witness.imag]}
+    return {**_fields_json(v), "witness": [v.witness.real, v.witness.imag]}
 
 
 def _sufficient_json(s: membership.SufficientCondition) -> dict:
@@ -99,14 +117,9 @@ def _sufficient_json(s: membership.SufficientCondition) -> dict:
     return {"satisfied": s.holds, "total": s.total, "budget": s.budget}
 
 
-def _any_verdict_failed(obj) -> bool:
-    if isinstance(obj, dict):
-        if obj.get("holds") is False:
-            return True
-        return any(_any_verdict_failed(v) for v in obj.values())
-    if isinstance(obj, list):
-        return any(_any_verdict_failed(v) for v in obj)
-    return False
+def _any_verdict_failed(result: dict) -> bool:
+    """Whether an entry of *result* is a failing verdict; every command puts its verdicts at the top level."""
+    return any(isinstance(v, dict) and v.get("holds") is False for v in result.values())
 
 
 # -- argument resolution ------------------------------------------------------
@@ -168,8 +181,8 @@ def _check_entries(args, f: HarmonicMap, p: ClassParams, grid: PolarGrid) -> dic
 def _radii_entries(args, p: ClassParams) -> dict:
     tol = _given(tol=args.tol)
     return {
-        "fully_starlike": dataclasses.asdict(radii.radius_fully_starlike(p, **tol)),
-        "fully_convex": dataclasses.asdict(radii.radius_fully_convex(p, **tol)),
+        "fully_starlike": _fields_json(radii.radius_fully_starlike(p, **tol)),
+        "fully_convex": _fields_json(radii.radius_fully_convex(p, **tol)),
     }
 
 
@@ -202,28 +215,31 @@ def _cmd_growth(args) -> dict:
     return result
 
 
-def _cmd_extremal(args) -> dict:
+def _document_text(args, f: HarmonicMap, params: ClassParams | None) -> str:
+    """The map document of *f*, encoded once: written to ``--out`` when given, and printed."""
+    text = serialize.dumps_document(serialize.map_to_document(f, params=params))
+    if args.out:
+        serialize._write_text(text, args.out)
+    return text
+
+
+def _cmd_extremal(args) -> str:
     p = _resolve_params(args, None)
     order = _given(order=args.order)
     if args.m is not None:
         f = make_extremal_single(p, args.m, **order)
     else:
         f = make_extremal_full(p, **order)
-    if args.out:
-        serialize.save_map(f, args.out, params=p)
-    return serialize.map_to_document(f, params=p)
+    return _document_text(args, f, p)
 
 
-def _cmd_convolve(args) -> dict:
+def _cmd_convolve(args) -> str:
     if len(args.inputs) != 2:
         raise HarmonicDiskError("convolve requires exactly two --in documents")
     f1, p1, _ = serialize.load_map(args.inputs[0])
     f2, p2, _ = serialize.load_map(args.inputs[1])
     g = closure.convolve_harmonic(f1, f2)
-    params = p1 if p1 == p2 else None
-    if args.out:
-        serialize.save_map(g, args.out, params=params)
-    return serialize.map_to_document(g, params=params)
+    return _document_text(args, g, p1 if p1 == p2 else None)
 
 
 def _cmd_oracle(args) -> dict:
@@ -231,7 +247,7 @@ def _cmd_oracle(args) -> dict:
     report = radii.numeric_radius_oracle(
         f, args.property, **_given(tol=args.tol, n_theta=args.grid_angles)
     )
-    return {"property": args.property, "report": dataclasses.asdict(report)}
+    return {"property": args.property, "report": _fields_json(report)}
 
 
 def _cmd_plot(args) -> dict:
@@ -257,7 +273,7 @@ def _cmd_report(args) -> dict:
         "sufficient": checks.pop("sufficient"),
         "bounds": {
             "holds": bound_report.all_within,
-            "rows": [dataclasses.asdict(r) for r in bound_report.rows],
+            "rows": [_fields_json(r) for r in bound_report.rows],
         },
         **checks,
         "growth_envelope": _verdict_json(bounds.growth_envelope_check(f, p, grid)),
@@ -289,9 +305,13 @@ def _summarize(result: dict, out) -> None:
 
 
 def _print_json(obj) -> None:
-    """*obj* as strict JSON on stdout; a NaN or an infinity raises ValueError before anything is printed."""
+    """*obj* as strict JSON on stdout; a NaN or an infinity raises ValueError before anything is printed.
+
+    A string is a map document that its command has already encoded.
+    """
+    text = obj if isinstance(obj, str) else serialize.dumps(obj) + "\n"
     try:
-        print(json.dumps(obj, indent=2, allow_nan=False))
+        sys.stdout.write(text)
     except BrokenPipeError:
         pass  # the reader closed stdout early; the exit code still reports the result
 
@@ -316,6 +336,8 @@ def run_command(argv: list[str]) -> int:
         _print_json({"error": f"internal error: {type(e).__name__}: {e}"})
         traceback.print_exc()
         return 3
+    if isinstance(result, str):
+        return 0  # a map document holds no verdict
     if args.verbose:
         _summarize(result, sys.stderr)
     return 1 if _any_verdict_failed(result) else 0

@@ -519,3 +519,111 @@ class TestSvgEmitter:
         polys = [circle_image(identity_map(), 0.5, 64)]
         with pytest.raises(OSError, match="/nonexistent"):
             emit_svg(polys, "/nonexistent/dir/out.svg")
+
+
+def _fail(make):
+    """*make* with its verdict turned into a failing one."""
+
+    def failing(*args, **kwargs):
+        result = make(*args, **kwargs)
+        if isinstance(result, cli.bounds.BoundReport):
+            report = cli.bounds.BoundReport(rows=result.rows)
+            report.__dict__["all_within"] = False
+            return report
+        return dataclasses.replace(result, holds=False)
+
+    return failing
+
+
+_CHECK_VERDICTS = {
+    "sense_preserving": (cli, "sense_preserving_check"),
+    "membership": (cli.membership, "membership_sampled"),
+    "slices": (cli.membership, "slice_membership_sampled"),
+}
+
+#: per command, each top-level verdict entry and the (module, name) of the function that makes it
+VERDICT_ENTRIES = {
+    "check": _CHECK_VERDICTS,
+    "growth": {"envelope": (cli.bounds, "growth_envelope_check")},
+    "report": {
+        **_CHECK_VERDICTS,
+        "bounds": (cli.bounds, "coefficient_bound_check"),
+        "growth_envelope": (cli.bounds, "growth_envelope_check"),
+    },
+}
+
+
+def _holds_paths(obj, path=()):
+    """The key path of every "holds" key in a parsed result."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "holds":
+                yield (*path, key)
+            yield from _holds_paths(value, (*path, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _holds_paths(value, (*path, i))
+
+
+class TestExitCodeGuard:
+    """The exit code reads only the top-level entries, so every verdict must live there."""
+
+    @pytest.mark.parametrize(
+        "command,entry", [(c, e) for c, entries in VERDICT_ENTRIES.items() for e in entries]
+    )
+    def test_failing_verdict_at_each_entry_exits_one(self, capsys, monkeypatch, extremal_doc, command, entry):
+        code, out = run(capsys, [command, "--in", extremal_doc])
+        assert code == 0 and all(out[e]["holds"] is True for e in VERDICT_ENTRIES[command])
+        module, name = VERDICT_ENTRIES[command][entry]
+        monkeypatch.setattr(module, name, _fail(getattr(module, name)))
+        code, out = run(capsys, [command, "--in", extremal_doc])
+        assert code == 1
+        assert [e for e in VERDICT_ENTRIES[command] if out[e]["holds"] is False] == [entry]
+
+    def test_no_verdict_below_the_top_level(self, capsys, tmp_path, extremal_doc, failing_doc):
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text('{"version": 1, "s_coeffs": "none"}\n', encoding="utf-8")
+        mix = [
+            ["extremal", *PFLAGS, "--order", "64", "--out", str(tmp_path / "e.json")],
+            ["convolve", "--in", extremal_doc, "--in", extremal_doc, "--out", str(tmp_path / "c.json")],
+            ["plot", "--in", extremal_doc, "--out", str(tmp_path / "p.svg")],
+            ["check", "--in", extremal_doc],
+            ["report", "--in", extremal_doc],
+            ["growth", "--in", extremal_doc],
+            ["oracle", "starlike", "--in", extremal_doc],
+            ["radii", *PFLAGS],
+            ["check", "--in", failing_doc, "--grid-radius", "0.99"],
+            ["report", "--in", failing_doc, "--grid-radius", "0.99"],
+            ["check", "--in", str(invalid)],
+        ]
+        for argv in mix:
+            code, out = run(capsys, argv)
+            paths = list(_holds_paths(out))
+            assert all(len(p) == 2 for p in paths), (argv, paths)
+            entries = {entry for entry, _ in paths}
+            assert entries == (set() if code == 2 else set(VERDICT_ENTRIES.get(argv[0], ()))), argv
+            assert code in (0, 1, 2) and (code == 2 or code == any(out[e]["holds"] is False for e in entries))
+
+
+class TestWrittenDocument:
+    """``--out`` writes the bytes that the command prints: one encoding per document."""
+
+    @pytest.mark.parametrize("order", ["4", "64", "1024"])
+    def test_extremal(self, capsys, tmp_path, order):
+        path = tmp_path / "e.json"
+        assert run_command(["extremal", *PFLAGS, "--order", order, "--out", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert path.read_text(encoding="utf-8") == printed
+        assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
+
+    def test_convolve(self, capsys, tmp_path, extremal_doc):
+        path = tmp_path / "c.json"
+        assert run_command(["convolve", "--in", extremal_doc, "--in", extremal_doc, "--out", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert path.read_text(encoding="utf-8") == printed
+        g, p, _ = load_map(path)
+        assert p == P110 and g.t.coeff(2) == 0.25**2
+
+    def test_unwritable_out_prints_only_the_error(self, capsys, tmp_path):
+        code, out = run(capsys, ["extremal", *PFLAGS, "--out", str(tmp_path / "missing" / "e.json")])
+        assert code == 2 and list(out) == ["error"]
