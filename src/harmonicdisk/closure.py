@@ -70,12 +70,18 @@ def random_member(
     max_terms: int = 3,
     u: float | None = None,
 ) -> HarmonicMap:
-    """Random map guaranteed in the class via the sufficient coefficient sum.
+    """Random map in the class via the sufficient coefficient sum, up to rounding.
 
     Draws sparse coefficient sets for both parts and rescales them so the
     weighted coefficient sum equals u * 2*(gamma - lam) with u uniform in
-    (0, 1).  This certifies membership by construction, so closure and radius
-    properties can be tested without a sampled membership precondition.
+    (0, 1).  A sum at most the budget puts the map in the class, so closure
+    and radius properties can be tested without a sampled membership
+    precondition.  But the rescaled sum hits its target only up to rounding:
+    at u = 1 (or within a few ulp of it) it can land a few ulp above the
+    budget (by at most 4.4e-16 relative in 2,000 seeded draws at order 16),
+    and :func:`membership_sufficient` then reads ``holds`` False.  The
+    scale is not shrunk to cover this, which would move the bits of every
+    map drawn.
     """
     order = _as_count(order, "order", 2)
     max_terms = _as_count(max_terms, "max_terms", 1)

@@ -35,9 +35,11 @@ The kernel's cost follows the nonzero coefficients (see
 which is 0, cost one add per point, and a random member's sparse parts
 pay an add per nonzero coefficient, though still a multiply per index
 below the highest.  On a grid of at least 27,648 points (96x384 has
-36,864) the kernel splits each evaluation into row blocks across the
-CPUs of the process's affinity mask, with the bits unchanged, so every
-verdict is the same under ``taskset`` to one CPU.
+36,864) the kernel splits each evaluation of a series with a nonzero
+coefficient above ``c[0]`` into row blocks across the CPUs of the
+process's affinity mask (the full extremal's t = 0 stays in one part),
+with the bits unchanged, so every verdict is the same under ``taskset``
+to one CPU.
 :func:`apply_operator` checks its point once and hands the three
 derivatives to the kernel directly.
 """
@@ -168,8 +170,9 @@ def slice_membership_sampled(
     rows = _stack(operator_coeffs(f.s, p).coeffs, operator_coeffs(f.t, p).coeffs)
     ls, lt = _eval_stack(rows, ring, grid.n_angles)
     eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)[:, None, None]
-    # blocks of 4 roots, so memory does not grow with n_eps; np.minimum and
-    # the min over a block take the same elementwise minima in the same order
+    # the margins are reduced over blocks of 4 roots, so no (n_eps, n) array
+    # is formed, though eps itself is n_eps long; np.minimum and the min
+    # over a block take the same elementwise minima in the same order
     margins = (np.real(ls + eps[:4] * lt) - p.lam).min(axis=0)
     for i in range(4, n_eps, 4):
         np.minimum(margins, (np.real(ls + eps[i : i + 4] * lt) - p.lam).min(axis=0), out=margins)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry
 from .errors import DomainError, _as_count, _as_real
 from .maps import ClassParams, HarmonicMap
@@ -138,7 +136,7 @@ def radius_fully_starlike(p: ClassParams, tol: float = 1e-9) -> RadiusReport:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """The convexity threshold for lambda at *delta*, and the N-term truncation of its series.
+    """The convexity threshold for lambda at *delta*.
 
     The threshold solves 7 - 3*delta = 4*lam + 4*(1-lam)*S for lam, where S
     is the sum over m >= 1 of [2m(3-delta) + (delta-5)] / [(m+1)(m(delta-1)+2)].
@@ -146,59 +144,35 @@ class ThresholdReport:
     delta = 1 they tend to 2, so S diverges for every delta != 3 (limit
     comparison with the harmonic series): ``diverged`` is exactly
     ``delta != 3``.  At delta = 3 the terms are -1/(m+1)^2, so S = 1 - pi^2/6
-    and lam* = 1 - 9/pi^2.  ``lam`` is then that closed form, whatever N, and
+    and lam* = 1 - 9/pi^2.  ``lam`` is then that closed form, and
     ``lam_error_estimate`` bounds |lam - lam*|, which is the rounding of the
-    closed form alone; both are None when ``diverged``.  ``partial_sum`` (the
-    N-term sum S_N) and ``first_omitted_term`` (|term_{N+1}|) describe the
-    truncation only; neither enters ``lam``.
+    closed form alone; both are None when ``diverged``.
     """
 
     delta: float
-    n_terms: int
-    partial_sum: float
     diverged: bool
-    first_omitted_term: float
     lam: float | None = None
     lam_error_estimate: float | None = None
-
-
-def _threshold_terms(delta: float, m: np.ndarray) -> np.ndarray:
-    """The series' terms, numerator and denominator divided by delta so that no factor overflows."""
-    return (2.0 * m * ((3.0 - delta) / delta) + (delta - 5.0) / delta) / (
-        (m + 1.0) * (m * ((delta - 1.0) / delta) + 2.0 / delta)
-    )
 
 
 def convexity_threshold_lambda(delta: float, n_terms: int = 10000) -> ThresholdReport:
     """The convexity threshold lam* = 1 - 9/pi^2 at delta = 3, divergence at every other delta.
 
-    See :class:`ThresholdReport` for why.  *n_terms* sets only the truncation
-    that ``partial_sum`` and ``first_omitted_term`` describe.  The partial
-    sum is taken in blocks of 2^16 terms, so memory does not grow with
-    *n_terms*; time is linear in it.
+    See :class:`ThresholdReport` for why.  Nothing is summed, so the time is
+    constant; *n_terms* is validated (an integer, at least 10) and otherwise
+    unused.
     """
     delta = _as_real(delta, "delta", 1)
-    n_terms = _as_count(n_terms, "n_terms", 10)
-    partial = 0.0
-    for start in range(1, n_terms + 1, 1 << 16):
-        m = np.arange(start, min(start + (1 << 16), n_terms + 1), dtype=np.float64)
-        partial += float(np.sum(_threshold_terms(delta, m)))
-    lam = error = None
-    if delta == 3.0:
-        # pi, pi^2 and the quotient are each rounded once, to a relative
-        # error of at most 2^-53, and pi enters twice, so x is within about
-        # 4 * 2^-53 * x of 9/pi^2; that is below 4 ulp(x) for x in [1/2, 1),
-        # and 1 - x is exact there (Sterbenz)
-        x = 9.0 / (math.pi * math.pi)
-        lam, error = 1.0 - x, 4.0 * math.ulp(x)
+    _as_count(n_terms, "n_terms", 10)
+    if delta != 3.0:
+        return ThresholdReport(delta=delta, diverged=True)
+    # pi, pi^2 and the quotient are each rounded once, to a relative error
+    # of at most 2^-53, and pi enters twice, so x is within about
+    # 4 * 2^-53 * x of 9/pi^2; that is below 4 ulp(x) for x in [1/2, 1),
+    # and 1 - x is exact there (Sterbenz)
+    x = 9.0 / (math.pi * math.pi)
     return ThresholdReport(
-        delta=delta,
-        n_terms=n_terms,
-        partial_sum=partial,
-        diverged=delta != 3.0,
-        first_omitted_term=abs(float(_threshold_terms(delta, np.array([n_terms + 1.0]))[0])),
-        lam=lam,
-        lam_error_estimate=error,
+        delta=delta, diverged=False, lam=1.0 - x, lam_error_estimate=4.0 * math.ulp(x)
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 
 import mpmath
@@ -10,6 +11,7 @@ from harmonicdisk import (
     ClassParams,
     DomainError,
     HarmonicMap,
+    ThresholdReport,
     TruncatedSeries,
     convex_radius_poly,
     convexity_threshold_lambda,
@@ -219,12 +221,6 @@ class TestConvexityThreshold:
     def test_delta_three_converges(self):
         rep = convexity_threshold_lambda(3, 10000)
         assert not rep.diverged
-        # independent recomputation of the partial sum
-        s = math.fsum(
-            (2 * m * (3 - 3) + (3 - 5)) / ((m + 1) * (m * (3 - 1) + 2))
-            for m in range(1, 10001)
-        )
-        assert rep.partial_sum == pytest.approx(s, abs=1e-12)
         # at delta = 3 the terms are -1/(m+1)^2, so the infinite sum is
         # 1 - zeta(2) and the solved lambda is 1 - 9/pi^2
         with mpmath.workdps(50):
@@ -246,20 +242,25 @@ class TestConvexityThreshold:
         assert not convexity_threshold_lambda(3, 2000).diverged
 
     def test_n_terms_changes_nothing(self):
-        reps = [convexity_threshold_lambda(3, n) for n in (10, 2000, 10000)]
-        assert len({(r.lam, r.lam_error_estimate) for r in reps}) == 1
+        for delta in (3, 2, 1e300):
+            reps = [convexity_threshold_lambda(delta, n) for n in (10, 2000, 10000, 10**15)]
+            assert all(r == reps[0] for r in reps), delta
 
-    @pytest.mark.parametrize("delta", [3, 2, 1e300])
-    def test_partial_sum_across_blocks(self, delta):
-        # three blocks of 2^16 terms and five more
-        n = 3 * (1 << 16) + 5
-        rep = convexity_threshold_lambda(delta, n)
-        d = float(delta)
-        ref = math.fsum(
-            (2 * m * ((3 - d) / d) + (d - 5) / d) / ((m + 1) * (m * ((d - 1) / d) + 2 / d))
-            for m in map(float, range(1, n + 1))
+    # the closed form's bits, the same as those of the summing implementation
+    # it replaced, at term counts below, at and across its 2^16-term blocks
+    @pytest.mark.parametrize("n_terms", [10, 10000, 3 * (1 << 16) + 5])
+    def test_delta_three_bits(self, n_terms):
+        assert convexity_threshold_lambda(3, n_terms) == ThresholdReport(
+            delta=3.0,
+            diverged=False,
+            lam=float.fromhex("0x1.68e558cc6ffe0p-4"),
+            lam_error_estimate=float.fromhex("0x1.0p-51"),
         )
-        assert rep.partial_sum == pytest.approx(ref, rel=1e-12)
+
+    def test_time_does_not_grow_with_terms(self):
+        start = time.perf_counter()
+        convexity_threshold_lambda(2, 10**9)
+        assert time.perf_counter() - start < 0.5
 
     def test_memory_does_not_grow_with_terms(self):
         tracemalloc.start()
@@ -273,12 +274,10 @@ class TestConvexityThreshold:
 
     @pytest.mark.parametrize("delta", [2e300, 1e308, sys.float_info.max])
     def test_huge_delta_diverges_with_finite_fields(self, delta):
-        # unscaled, the terms' factors overflow here: to a convergent-looking
-        # lam of -8.6e298 at 2e300, to nan at 1e308
+        # the series' factors overflow here (unscaled, to a convergent-looking
+        # lam of -8.6e298 at 2e300 and to nan at 1e308), so nothing may sum them
         rep = convexity_threshold_lambda(delta)
-        assert rep.diverged and rep.lam is None and rep.lam_error_estimate is None
-        fields = (rep.partial_sum, rep.first_omitted_term)
-        assert all(math.isfinite(v) for v in fields)
+        assert rep == ThresholdReport(delta=float(delta), diverged=True)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
