@@ -120,9 +120,18 @@ class GrowthEstimate:
     n_terms: int
 
 
-def _block_columns(radii: np.ndarray) -> int:
-    """Columns of one (radius, m) block: at least 4096, and about 2^16 terms."""
-    return max(4096, 2**16 // len(radii))
+def _tables(radii: np.ndarray, stop: int):
+    """The indices 0, 1, ..., stop - 1 of the power tables, one (radius, m) block of terms each.
+
+    A block has at least 4096 columns and about 2^16 terms.  The first table
+    also holds r^0 and r^1, so no table is the one column r^2, which numpy's
+    ``power`` computes as ``r*r``, not by ``pow``.
+    """
+    cols = max(4096, 2**16 // len(radii))
+    k0 = 0
+    for k1 in range(2 + cols, stop + cols, cols):
+        yield np.arange(float(k0), min(k1, stop))
+        k0 = k1
 
 
 def _add_terms(p: ClassParams, powers: np.ndarray, m: np.ndarray, sums: np.ndarray) -> bool:
@@ -160,7 +169,7 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     """Upper value, upper tail, lower value and lower tail at each radius.
 
     The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
-    (radius, m) blocks of :func:`_block_columns` columns, so memory stays
+    (radius, m) blocks, one per table of :func:`_tables`, so memory stays
     bounded for any N; a sum that fits one block is one array reduction.
     The terms decrease in m and r^m underflows to 0, so once a whole block
     is 0 every later block is too: the sums stop there, and they are still
@@ -168,10 +177,9 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     """
     n_terms = _as_count(n_terms, "n_terms", 2)
     sums = np.zeros((2, len(radii)))
-    cols = _block_columns(radii)
-    for m0 in range(2, n_terms + 1, cols):
-        m = np.arange(float(m0), min(m0 + cols, n_terms + 1))
-        if not _add_terms(p, _radius_powers(radii, m), m, sums):
+    for k in _tables(radii, n_terms + 1):
+        terms = slice(max(2 - int(k[0]), 0), None)
+        if not _add_terms(p, _radius_powers(radii, k)[:, terms], k[terms], sums):
             break
     return _with_tails(p, radii, n_terms, sums)
 
@@ -231,19 +239,15 @@ def growth_envelope_check(
     rows = _ring_rows(f, (0,))
     folded = np.zeros((len(rows), len(radii), grid.n_angles), dtype=np.complex128)
     sums = np.zeros((2, len(radii)))
-    cols = _block_columns(radii)
-    end = max(n_terms + 1, rows.shape[-1])
     summing = True
-    for m0 in range(2, end, cols):
-        if not summing and m0 >= rows.shape[-1]:
+    for k in _tables(radii, max(n_terms + 1, rows.shape[-1])):
+        k0 = int(k[0])
+        if not summing and k0 >= rows.shape[-1]:
             break
-        # one table per block of m; the first also holds r^0 and r^1, which only the fold uses
-        k0 = 0 if m0 == 2 else m0
-        k = np.arange(float(k0), min(m0 + cols, end))
         powers = _radius_powers(radii, k)
         _fold_powers(folded, rows, powers, k0)
-        if summing and m0 <= n_terms:
-            terms = slice(m0 - k0, n_terms + 1 - k0)
+        if summing and k0 <= n_terms:
+            terms = slice(max(2 - k0, 0), n_terms + 1 - k0)
             summing = _add_terms(p, powers[:, terms], k[terms], sums)
     upper, upper_tail, lower, lower_tail = _with_tails(p, radii, n_terms, sums)
     absf = np.abs(_ring_values(folded)[0])

@@ -28,20 +28,20 @@ from F's own array, on the grid's outer radius, which the grid validated
 when it was built, so no derived series is built and no radius is checked
 again.  :func:`membership_sampled` still samples every ring of its grid
 and, like :func:`apply_operator`, evaluates L through the three formal
-derivatives with the Horner kernel: the benchmark's smoke test pins the
-former's calls, and a test pins the latter bit for bit to ``polyval``.
-The kernel's cost follows the nonzero coefficients (see
-:mod:`~harmonicdisk.series`): the derivatives of the full extremal's t,
-which is 0, cost one add per point, and a random member's sparse parts
-pay an add per nonzero coefficient, though still a multiply per index
-below the highest.  On a grid of at least 27,648 points (96x384 has
-36,864) the kernel splits each evaluation of a series with a nonzero
-coefficient above ``c[0]`` into row blocks across the CPUs of the
-process's affinity mask (the full extremal's t = 0 stays in one part),
-with the bits unchanged, so every verdict is the same under ``taskset``
-to one CPU.
-:func:`apply_operator` checks its point once and hands the three
-derivatives to the kernel directly.
+derivatives with the Horner kernel of :mod:`~harmonicdisk.series` (its
+bits do not depend on the CPUs it splits a grid across): the benchmark's
+smoke test pins the former's calls, and a test pins the latter bit for bit
+to ``polyval``.
+
+Slices in closed form: ``Re(eps * L t) = |L t| cos(arg eps + arg L t)`` is
+least at the root of unity nearest to ``pi - arg L t``, so the minimum over
+the n_eps-th roots is ``Re L s - lam - |L t| cos(d)``, d in [0, pi/n_eps]
+that root's distance.  It lies within 4e-15 * (|L s| + |L t| + lam) of the
+minimum over the rounded roots ``exp(2j*pi*j/n_eps)`` taken one at a time,
+bitwise where ``L t = 0`` (the full extremal), and exceeds the exact
+minimum over ``|eps| = 1``, ``Re L s - lam - |L t|``, by at most
+``|L t| * (1 - cos(pi/n_eps))``.  Past about 3e8 roots cos(d) rounds to 1;
+n_eps above 2**53 is taken as 2**53, which changes nothing.
 """
 
 from __future__ import annotations
@@ -158,24 +158,22 @@ def slice_membership_sampled(
 ) -> MembershipVerdict:
     """Sampled slice form of the inequality: Re[L(s + eps*t)] > lam.
 
-    The slice parameters are the n_eps-th roots of unity.  Finite eps
-    sampling is a fidelity knob, not an equivalence: as n_eps grows the
-    margin decreases toward the |L t| form of the test.  Only the grid's
-    outer circle is sampled (minimum principle, see the module docstring),
-    so ``samples`` is ``n_eps * grid.n_angles``.
+    The slice parameters are the n_eps-th roots of unity.  Only the grid's
+    outer circle is sampled (minimum principle), so ``samples`` is ``n_eps
+    * grid.n_angles``.  The minimum over the roots is taken in closed form,
+    ``Re L s - lam - |L t| cos(d)`` with d in [0, pi/n_eps] the distance
+    from ``pi - arg L t`` to the nearest multiple of 2*pi/n_eps, so neither
+    time nor memory depends on n_eps.  It exceeds the exact minimum over
+    every unimodular eps, ``Re L s - lam - |L t|``, by at most ``max |L t|
+    * (1 - cos(pi/n_eps))``; the module docstring gives its rounding.
     """
     n_eps = _as_count(n_eps, "n_eps", 4)
     grid = grid or PolarGrid()
-    ring = grid.radii()[-1:]
     rows = _stack(operator_coeffs(f.s, p).coeffs, operator_coeffs(f.t, p).coeffs)
-    ls, lt = _eval_stack(rows, ring, grid.n_angles)
-    eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)[:, None, None]
-    # the margins are reduced over blocks of 4 roots, so no (n_eps, n) array
-    # is formed, though eps itself is n_eps long; np.minimum and the min
-    # over a block take the same elementwise minima in the same order
-    margins = (np.real(ls + eps[:4] * lt) - p.lam).min(axis=0)
-    for i in range(4, n_eps, 4):
-        np.minimum(margins, (np.real(ls + eps[i : i + 4] * lt) - p.lam).min(axis=0), out=margins)
+    ls, lt = _eval_stack(rows, grid.radii()[-1:], grid.n_angles)
+    step = 2.0 * math.pi / min(n_eps, 2**53)
+    d = np.remainder(np.pi - np.angle(lt), step)
+    margins = np.real(ls) - p.lam - np.abs(lt) * np.cos(np.minimum(d, step - d))
     return _circle_verdict(margins, grid, f"{n_eps} slice values on ", n_eps * margins.size)
 
 

@@ -43,9 +43,10 @@ powers is computed once for all rows, and then runs one inverse FFT over
 the stack
 (:func:`_eval_stack`).  Each row's values are bitwise those of the series
 folded and transformed alone; :func:`eval_rings` is the one-row case.
-:func:`_fold` cuts the indices into blocks aligned to n, so each block is
-one multiply and one add; :func:`_fold_powers` adds a table whose block is
-not aligned, as the growth envelope's are, one run of columns at a time.
+:func:`_fold` computes the powers in tables of whole blocks of n, about
+2**16 entries each, and :func:`_fold_powers` adds a table with one multiply
+and one add per run of columns, a block of n unless the table does not
+start at a multiple of n, as the growth envelope's do not.
 A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`
 multiplies ``r**(k - k % 64)`` by ``r**(k % 64)`` from two small tables,
 which agrees with ``pow`` to two ulp.  Each entry depends only on the
@@ -109,6 +110,9 @@ _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 _POWER_STEP = 64
 _LOW_EXPONENTS = np.arange(float(_POWER_STEP))
 _LOW_EXPONENTS.setflags(write=False)
+
+#: :func:`_fold` sizes its power tables to about this many entries.
+_TABLE_ENTRIES = 2**16
 
 #: :func:`_horner` splits an array of points only into parts of at least
 #: this many points.  Each step of a part takes the GIL once per ufunc call,
@@ -483,17 +487,18 @@ def _fold(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
     """``coeffs[..., k] * radii[i]**k`` summed onto column ``k mod n``, shape ``(..., len(radii), n)``.
 
     *coeffs* is one coefficient row of length K or a stack of such rows,
-    shape ``(..., K)``.  The rows are folded one block of n indices at a
-    time, and the block's radius powers are computed once for every row.  A
-    block starts at a multiple of n, so its indices land on the columns
-    ``0, 1, ...`` in order and the block is one multiply and one add.  The
-    inverse DFT of the result along the angles gives the ring values.
+    shape ``(..., K)``.  The radius powers come in tables of whole blocks of
+    n indices, as many as fit in :data:`_TABLE_ENTRIES` entries (at least
+    one), each computed once for every row.  A block starts at a multiple
+    of n, so its indices land on the columns ``0, 1, ...`` in order and the
+    block is one multiply and one add (:func:`_fold_powers`).  The inverse
+    DFT of the result along the angles gives the ring values.
     """
     folded = np.zeros((*coeffs.shape[:-1], len(radii), n), dtype=np.complex128)
     order = coeffs.shape[-1]
-    for k0 in range(0, order, n):
-        k1 = min(k0 + n, order)
-        folded[..., : k1 - k0] += coeffs[..., None, k0:k1] * _radius_powers(radii, np.arange(float(k0), k1))
+    step = n * max(1, _TABLE_ENTRIES // (max(len(radii), 1) * n))
+    for k0 in range(0, order, step):
+        _fold_powers(folded, coeffs, _radius_powers(radii, np.arange(float(k0), min(k0 + step, order))), k0)
     return folded
 
 

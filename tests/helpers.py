@@ -266,10 +266,10 @@ def slice_membership_per_series(
     ring = grid.radii()[-1:]
     ls = eval_rings_per_series(operator_coeffs(f.s, p), ring, grid.n_angles)
     lt = eval_rings_per_series(operator_coeffs(f.t, p), ring, grid.n_angles)
-    eps = np.exp(2j * np.pi * np.arange(n_eps) / n_eps)
-    margins = np.real(ls + eps[0] * lt) - p.lam
-    for e in eps[1:]:
-        np.minimum(margins, np.real(ls + e * lt) - p.lam, out=margins)
+    # the closed-form minimum over the roots; tests/test_membership.py checks it against the per-root loop
+    step = 2.0 * math.pi / min(n_eps, 2**53)
+    d = np.remainder(np.pi - np.angle(lt), step)
+    margins = np.real(ls) - p.lam - np.abs(lt) * np.cos(np.minimum(d, step - d))
     circle = f"circle |z| = {grid.max_radius} ({grid.n_angles} angles)"
     where = f"where the {grid.describe()} has its minimum (minimum principle)"
     v = verdict_from_margins(margins, (ring, grid.phases()), f"{n_eps} slice values on {circle}, {where}")

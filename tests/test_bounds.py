@@ -205,9 +205,14 @@ class TestEnvelopeBlocks:
 
     @staticmethod
     def one_array(p, radii, n_terms):
-        """The envelope sums as one (radius, m) array, the form before blocking."""
+        """The envelope sums as one (radius, m) array, the form before blocking.
+
+        The powers come from exponents 0..N: numpy's ``power`` takes ``r*r``
+        for the one exponent 2 of N = 2, not ``pow`` as for a longer table.
+        """
         m = np.arange(2.0, n_terms + 1)
-        terms = 2.0 * p.coefficient_budget() * radii[:, None] ** m / p.coefficient_weight(m)
+        terms = 2.0 * p.coefficient_budget() * (radii[:, None] ** np.arange(0.0, n_terms + 1))[:, 2:]
+        terms /= p.coefficient_weight(m)
         signs = np.where(m % 2 == 0, -1.0, 1.0)
         return radii + np.sum(terms, axis=-1), radii + np.sum(signs * terms, axis=-1)
 
@@ -242,6 +247,46 @@ class TestEnvelopeBlocks:
         upper, _, lower, _ = _envelope(p, radii, n_terms)
         ref_upper, ref_lower = self.one_array(p, radii, n_terms)
         assert upper.tobytes() == ref_upper.tobytes() and lower.tobytes() == ref_lower.tobytes()
+
+
+class TestEnvelopeTables:
+    """The envelope and its check cut their power tables alike, the first from k = 0."""
+
+    @pytest.mark.parametrize("n_terms", [2, 3, 64])
+    def test_sums_are_those_of_the_checks_table(self, n_terms):
+        """The rows sum the terms of the table the check folds from, which starts at r^0.
+
+        At N = 2 a table of the one exponent 2 would hold ``r*r``, which
+        differs from ``pow(r, 2)`` in the last bit at 7 of these 96 radii.
+        """
+        rng = np.random.default_rng(300 + n_terms)
+        radii = PolarGrid(max_radius=0.95, n_radii=96).radii()
+        powers = _radius_powers(radii, np.arange(0.0, n_terms + 1))[:, 2:]
+        m = np.arange(2.0, n_terms + 1)
+        for _ in range(300):
+            p = random_params(rng)
+            terms = powers * (2.0 * p.coefficient_budget()) / p.coefficient_weight(m)
+            upper, _, lower, _ = _envelope(p, radii, n_terms)
+            assert upper.tobytes() == (radii + np.sum(terms, axis=-1)).tobytes()
+            terms[:, 0::2] *= -1.0
+            assert lower.tobytes() == (radii + np.sum(terms, axis=-1)).tobytes()
+
+    def test_tables_of_envelope_and_check_hold_the_same_indices(self, monkeypatch):
+        tables = []
+
+        def recording(radii, k):
+            tables.append((len(radii), int(k[0]), int(k[-1])))
+            return _radius_powers(radii, k)
+
+        monkeypatch.setattr("harmonicdisk.bounds._radius_powers", recording)
+        p, grid = ClassParams(1, 1, 0), PolarGrid(0.9999, 17, 16)
+        for n_terms in (2, 4096, 20_000):
+            tables.clear()
+            _envelope(p, grid.radii(), n_terms)
+            envelope = list(tables)
+            tables.clear()
+            growth_envelope_check(identity_map(2), p, grid, n_terms)
+            assert envelope == tables and envelope[0][1] == 0
 
 
 class TestEnvelopeStop:

@@ -24,6 +24,7 @@ from harmonicdisk import (
     make_extremal_single,
     membership_sampled,
     numeric_radius_oracle,
+    operator_coeffs,
     radius_fully_convex,
     save_map,
     sense_preserving_check,
@@ -32,6 +33,7 @@ from harmonicdisk import (
 from harmonicdisk import cli
 from harmonicdisk.cli import run_command
 from harmonicdisk.geometry import CirclePolyline
+from harmonicdisk.series import eval_rings
 from harmonicdisk.svgplot import emit_svg, render_svg
 
 P110 = ClassParams(1, 1, 0)
@@ -205,6 +207,24 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "unsupported operand" in json.loads(captured.out)["error"]
         assert ("Traceback" in captured.err) == (code == 3)
+
+    @pytest.mark.parametrize("exponent", [8, 12, 20, 400])
+    @pytest.mark.parametrize("doc", ["extremal_doc", "failing_doc"])
+    def test_any_slice_count_gives_a_verdict(self, capsys, request, doc, exponent):
+        """The slice minimum is in closed form, so no n_eps is too large to run.
+
+        Past about 3e8 roots cos(d) rounds to 1 and the slice margin is the
+        exact minimum over every unimodular eps: Re L s - lam - |L t|.
+        """
+        code, out = run(capsys, ["check", "--in", request.getfixturevalue(doc), "--n-eps", str(10**exponent)])
+        assert code == (0 if doc == "extremal_doc" else 1)
+        assert out["slices"]["samples"] == 10**exponent * 96
+        f, p, _ = load_map(request.getfixturevalue(doc))
+        grid = PolarGrid()
+        ls, lt = (eval_rings(operator_coeffs(h, p), grid.radii()[-1:], grid.n_angles) for h in (f.s, f.t))
+        exact = float((np.real(ls) - p.lam - np.abs(lt)).min())
+        margin = out["slices"]["margin"]
+        assert margin == exact if exponent > 8 else margin >= exact
 
     def test_verbose_summary_on_stderr(self, extremal_doc, capsys):
         code = run_command(["check", "--in", extremal_doc, "--verbose"])

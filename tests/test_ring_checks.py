@@ -437,13 +437,18 @@ class TestSharedFold:
         assert _bits(half_plane_check(F, grid)) == _bits(helpers.half_plane_per_series(F, grid))
 
 
-def test_one_power_table_per_block(monkeypatch):
-    """The radius powers of a block are computed once for all rows."""
+def test_power_tables_of_whole_blocks(monkeypatch):
+    """The radius powers come in tables of whole blocks of n, about 2**16 entries, once for all rows.
+
+    A fold of a few radii takes one table for every block; the 96-ring grid
+    of the benchmark takes one block of n = 384 per table, so a table never
+    holds more entries than one block of the grid.
+    """
     calls = []
     powers = series_module._radius_powers
 
     def counted(radii, k):
-        calls.append(int(k[0]))
+        calls.append((len(radii), int(k[0]), len(k)))
         return powers(radii, k)
 
     monkeypatch.setattr(series_module, "_radius_powers", counted)
@@ -459,11 +464,26 @@ def test_one_power_table_per_block(monkeypatch):
     ):
         calls.clear()
         call()
-        assert calls == [0, n, 2 * n, 3 * n]
+        assert [k0 for _, k0, _ in calls] == [0]
     calls.clear()
     slice_membership_sampled(f, ClassParams(1, 1, 0), 4, PolarGrid(0.9, 3, n))
     sense_preserving_check(f, PolarGrid(0.9, 3, n))
-    assert calls == [0, n, 2 * n, 3 * n] * 2
+    assert [k0 for _, k0, _ in calls] == [0, 0]
+    # one ring at order 4096 and n 384: one table, where one per block of n took 11
+    g = _sparse(4096)
+    grid = PolarGrid(0.95, 96, 384)
+    for call in (
+        lambda: slice_membership_sampled(g, ClassParams(1, 1, 0), 16, grid),
+        lambda: close_to_convex_check(g.analytic_slice(1.0), grid),
+        lambda: half_plane_check(g.analytic_slice(1.0), grid),
+    ):
+        calls.clear()
+        call()
+        assert [(r, k0) for r, k0, _ in calls] == [(1, 0)]
+    # 96 rings of 384 angles: one block of n per table
+    calls.clear()
+    sense_preserving_check(g, grid)
+    assert calls == [(96, k0, min(384, 4096 - k0)) for k0 in range(0, 4096, 384)]
 
 
 # -- the witness of a circle test ---------------------------------------------------
