@@ -34,7 +34,7 @@ import numpy as np
 from .errors import _as_count, _as_real
 from .maps import ClassParams, HarmonicMap, _ring_rows, _ring_values
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import DEFAULT_ORDER, _fold_powers, _radius_powers
+from .series import DEFAULT_ORDER, _fold_powers, _radius_powers, _tables
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,20 +120,6 @@ class GrowthEstimate:
     n_terms: int
 
 
-def _tables(radii: np.ndarray, stop: int):
-    """The indices 0, 1, ..., stop - 1 of the power tables, one (radius, m) block of terms each.
-
-    A block has at least 4096 columns and about 2^16 terms.  The first table
-    also holds r^0 and r^1, so no table is the one column r^2, which numpy's
-    ``power`` computes as ``r*r``, not by ``pow``.
-    """
-    cols = max(4096, 2**16 // len(radii))
-    k0 = 0
-    for k1 in range(2 + cols, stop + cols, cols):
-        yield np.arange(float(k0), min(k1, stop))
-        k0 = k1
-
-
 def _add_terms(p: ClassParams, powers: np.ndarray, m: np.ndarray, sums: np.ndarray) -> bool:
     """Turn *powers*, the block r^m, into the terms 2*(gamma-lam)*r^m/weight(m) in place; add them up.
 
@@ -169,8 +155,9 @@ def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarr
     """Upper value, upper tail, lower value and lower tail at each radius.
 
     The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
-    (radius, m) blocks, one per table of :func:`_tables`, so memory stays
-    bounded for any N; a sum that fits one block is one array reduction.
+    (radius, m) blocks, one per power table of the folds
+    (:func:`~harmonicdisk.series._tables`), so memory stays bounded for
+    any N; a sum that fits one block is one array reduction.
     The terms decrease in m and r^m underflows to 0, so once a whole block
     is 0 every later block is too: the sums stop there, and they are still
     bitwise the N-term sums, while the tails are those of N.

@@ -166,10 +166,14 @@ def slice_membership_sampled(
     time nor memory depends on n_eps.  It exceeds the exact minimum over
     every unimodular eps, ``Re L s - lam - |L t|``, by at most ``max |L t|
     * (1 - cos(pi/n_eps))``; the module docstring gives its rounding.
+    A coefficient of L s or L t that overflowed is a DomainError before any
+    value is folded.
     """
     n_eps = _as_count(n_eps, "n_eps", 4)
     grid = grid or PolarGrid()
     rows = _stack(operator_coeffs(f.s, p).coeffs, operator_coeffs(f.t, p).coeffs)
+    if not np.isfinite(rows).all():  # an inf part times a zero part of a power is NaN in the fold
+        raise DomainError("sampled margin is not finite: the coefficients of L s or L t overflowed")
     ls, lt = _eval_stack(rows, grid.radii()[-1:], grid.n_angles)
     step = 2.0 * math.pi / min(n_eps, 2**53)
     d = np.remainder(np.pi - np.angle(lt), step)

@@ -24,9 +24,12 @@ the 96x384 grid has 36,864) is cut along axis 0 into one part per CPU of
 the process's affinity mask, at most one per ``_MIN_PART_POINTS`` points,
 unless the plan has no step (a series whose only nonzero coefficient is
 ``c[0]``, such as 0, adds it once and is done); the caller runs the first
-part and a thread each of the others, every part through the same loop,
-so the bits do not change.  Under ``taskset`` to one CPU the kernel starts
-no thread.  The threads are joined before the call returns, and share
+part and a ``concurrent.futures`` thread pool the others, every part
+through the same loop, so the bits do not change.  No thread is bound to a
+CPU; the operating system places them.  Under ``taskset`` to one CPU the
+kernel starts no thread.  The pool is imported only when an array is
+split, since ``concurrent.futures`` loads ``logging`` and the CLI's grids
+never split.  The threads are joined before the call returns, and share
 nothing but the call's own arrays, so instances can still be shared freely
 between threads.  On whole circles ``|z| = r``
 (:func:`eval_rings`), the samples at n equally spaced angles are a discrete
@@ -43,10 +46,11 @@ powers is computed once for all rows, and then runs one inverse FFT over
 the stack
 (:func:`_eval_stack`).  Each row's values are bitwise those of the series
 folded and transformed alone; :func:`eval_rings` is the one-row case.
-:func:`_fold` computes the powers in tables of whole blocks of n, about
-2**16 entries each, and :func:`_fold_powers` adds a table with one multiply
-and one add per run of columns, a block of n unless the table does not
-start at a multiple of n, as the growth envelope's do not.
+Every fold, the growth envelope's included, cuts its powers into the
+tables of :func:`_tables`: at least 4096 columns and about 2**16 entries
+each, the first from index 0 up past index 2.  :func:`_fold_powers` adds a
+table with one multiply and one add per run of columns that land on
+consecutive columns, in increasing index.
 A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`
 multiplies ``r**(k - k % 64)`` by ``r**(k % 64)`` from two small tables,
 which agrees with ``pow`` to two ulp.  Each entry depends only on the
@@ -66,15 +70,13 @@ handed back to callers (``convolve`` writes a document from them).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-import ctypes
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -111,9 +113,6 @@ _POWER_STEP = 64
 _LOW_EXPONENTS = np.arange(float(_POWER_STEP))
 _LOW_EXPONENTS.setflags(write=False)
 
-#: :func:`_fold` sizes its power tables to about this many entries.
-_TABLE_ENTRIES = 2**16
-
 #: :func:`_horner` splits an array of points only into parts of at least
 #: this many points.  Each step of a part takes the GIL once per ufunc call,
 #: so a part must be large enough that its arithmetic outweighs the turns at
@@ -123,12 +122,6 @@ _MIN_PART_POINTS = 13824
 
 #: :func:`_horner`'s output starts at a multiple of this many bytes.
 _ALIGNMENT = 64
-
-try:
-    #: The C library's ``sched_getcpu``: the CPU the calling thread runs on.
-    _sched_getcpu = ctypes.CDLL(None).sched_getcpu
-except (OSError, AttributeError, TypeError):
-    _sched_getcpu = None
 
 
 def _as_numbers(values, what: str, real: bool = False) -> np.ndarray:
@@ -352,10 +345,13 @@ def _horner(series: TruncatedSeries, z):
     a plan without one is a single add per point, which costs less than a
     thread (on a 2-CPU Xeon, 36,864 points took about 110 us in one part
     against 260 to 300 us in two).  The caller runs the first part and a
-    thread each of the others, over the same output and the same plan
+    thread pool the others, over the same output and the same plan
     (:func:`_horner_parts`).  numpy releases the GIL inside each step,
-    so the parts run at once.  Every element goes through the same
-    operations whatever part holds it, so the split changes no bit.
+    so the parts run at once.  No thread is bound to a CPU: on a 2-CPU
+    Xeon, binding each to a CPU other than the caller's did not make
+    ``membership_sampled`` on the 96x384 grid faster.  Every element goes
+    through the same operations whatever part holds it, so the split
+    changes no bit.
 
     One caveat comes from numpy: an in-place multiply of a one-element
     array takes its plain scalar loop instead of the vector loop with fused
@@ -389,43 +385,23 @@ def _horner_steps(out, z, first, terms):
 
 
 def _horner_parts(out: np.ndarray, z: np.ndarray, first, terms: list, n: int) -> None:
-    """:func:`_horner_steps` on *n* row blocks of *out* and *z*: the first here, each other in a thread.
+    """:func:`_horner_steps` on *n* row blocks of *out* and *z*: the first here, each other on a pool thread.
 
-    Each thread first binds itself to one CPU of the process's affinity
-    mask other than the caller's (:func:`_worker_cpus`), since a kernel
-    that does not balance load leaves a new thread on its parent's CPU.  A
-    thread runs its part in a copy of the caller's context, so the caller's
+    A part runs in a copy of the caller's context, so the caller's
     ``np.errstate``, a context variable since numpy 2, holds there too.
-    Every thread is joined before this returns or raises, and the first
-    part's exception, in part order, is raised again here.
+    Leaving the pool joins every thread, whether the caller's part returned
+    or raised; then the first part's exception, in part order, is raised.
     """
+    # imported here: concurrent.futures loads logging, and the CLI never splits
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [len(z) * i // n for i in range(n + 1)]
-    cpus = _worker_cpus(n - 1)
-    errors = [None] * n
-
-    def run(i):
-        a, b = bounds[i], bounds[i + 1]
-        if 0 < i <= len(cpus):
-            with contextlib.suppress(OSError):  # a thread that cannot move stays where it is
-                os.sched_setaffinity(0, {cpus[i - 1]})
-        try:
-            _horner_steps(out[a:b], z[a:b], first, terms)
-        except BaseException as e:  # raised again in the caller
-            errors[i] = e
-
-    threads = []
-    try:
-        for i in range(1, n):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for e in errors:
-        if e is not None:
-            raise e
+    parts = [(out[a:b], z[a:b], first, terms) for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _horner_steps, *part) for part in parts[1:]]
+        _horner_steps(*parts[0])
+    for future in futures:
+        future.result()
 
 
 def _cpu_count() -> int:
@@ -436,14 +412,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_cpus(k: int) -> list:
-    """*k* CPUs of the calling thread's affinity mask other than the one it runs on, or [] where that is unknown."""
-    if _sched_getcpu is None or not hasattr(os, "sched_getaffinity"):
-        return []
-    here = _sched_getcpu()
-    return [cpu for cpu in sorted(os.sched_getaffinity(0)) if cpu != here][:k]
-
-
 def _aligned_like(z: np.ndarray) -> np.ndarray:
     """An uninitialized C-ordered complex array of *z*'s shape, starting at a multiple of :data:`_ALIGNMENT` bytes.
 
@@ -451,7 +419,7 @@ def _aligned_like(z: np.ndarray) -> np.ndarray:
     one element, so the start is found by skipping a few elements.
     """
     buf = np.empty(z.size + _ALIGNMENT // 16, dtype=np.complex128)
-    skip = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % _ALIGNMENT // 16
+    skip = -buf.__array_interface__["data"][0] % _ALIGNMENT // 16
     return buf[skip : skip + z.size].reshape(z.shape)
 
 
@@ -460,8 +428,9 @@ def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
 
     The values are bitwise ``polyval``'s.  From ``2 * _MIN_PART_POINTS``
     points on, a series with a nonzero coefficient above ``c[0]`` is split
-    across the CPUs of the process's affinity mask, one thread per extra
-    part, all joined before this returns (:func:`_horner`); run under ``taskset -c 0`` for a single thread.
+    across the CPUs of the process's affinity mask, one pool thread per
+    extra part, all joined before this returns (:func:`_horner`); run under
+    ``taskset -c 0`` for a single thread.
     """
     z = _as_numbers(z, "evaluation points").astype(np.complex128, copy=False)
     _check_disk(z)
@@ -483,22 +452,33 @@ def _ring_radii(radii) -> np.ndarray:
     raise DomainError("ring radii must be nonnegative")
 
 
+def _tables(radii: np.ndarray, stop: int):
+    """The indices 0, 1, ..., stop - 1 of the power tables, one (radius, k) block of about 2**16 entries each.
+
+    A table has at least 4096 columns.  The first also holds r^0 and r^1, so
+    no table is the one column r^2, which numpy's ``power`` computes as
+    ``r*r``, not by ``pow``.  There is always a first table, also for a
+    series of order below 2 and for no radii.
+    """
+    cols = max(4096, 2**16 // max(len(radii), 1))
+    k0 = 0
+    for k1 in chain(range(2 + cols, stop, cols), (stop,)):
+        yield np.arange(float(k0), k1)
+        k0 = k1
+
+
 def _fold(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
     """``coeffs[..., k] * radii[i]**k`` summed onto column ``k mod n``, shape ``(..., len(radii), n)``.
 
     *coeffs* is one coefficient row of length K or a stack of such rows,
-    shape ``(..., K)``.  The radius powers come in tables of whole blocks of
-    n indices, as many as fit in :data:`_TABLE_ENTRIES` entries (at least
-    one), each computed once for every row.  A block starts at a multiple
-    of n, so its indices land on the columns ``0, 1, ...`` in order and the
-    block is one multiply and one add (:func:`_fold_powers`).  The inverse
-    DFT of the result along the angles gives the ring values.
+    shape ``(..., K)``.  The radius powers come in the tables of
+    :func:`_tables`, each computed once for every row and added by
+    :func:`_fold_powers`.  The inverse DFT of the result along the angles
+    gives the ring values.
     """
     folded = np.zeros((*coeffs.shape[:-1], len(radii), n), dtype=np.complex128)
-    order = coeffs.shape[-1]
-    step = n * max(1, _TABLE_ENTRIES // (max(len(radii), 1) * n))
-    for k0 in range(0, order, step):
-        _fold_powers(folded, coeffs, _radius_powers(radii, np.arange(float(k0), min(k0 + step, order))), k0)
+    for k in _tables(radii, coeffs.shape[-1]):
+        _fold_powers(folded, coeffs, _radius_powers(radii, k), int(k[0]))
     return folded
 
 
@@ -506,12 +486,12 @@ def _fold_powers(folded: np.ndarray, coeffs: np.ndarray, powers: np.ndarray, k0:
     """Add ``coeffs[..., k] * powers[:, k - k0]`` onto column ``k mod n`` of *folded*, in place.
 
     *powers* is a table of radius powers for the indices ``k0, k0 + 1, ...``,
-    where k0 need not be a multiple of n (the growth envelope cuts its tables
-    by its own block size); indices past the last coefficient are ignored.
-    Each run of indices that lands on consecutive columns is one multiply and
-    one add, and the runs go in increasing k, so every column receives its
-    terms in the order of :func:`_fold` whatever block of indices the table
-    covers.
+    where k0 need not be a multiple of n; indices past the last coefficient
+    are ignored.  Each run of indices that lands on consecutive columns is
+    one multiply and one add, and the runs go in increasing k, so every
+    column receives its terms in increasing k whatever block of indices the
+    table covers: a fold's bits depend only on the powers, not on where the
+    tables are cut.
     """
     n = folded.shape[-1]
     end = min(k0 + powers.shape[-1], coeffs.shape[-1])

@@ -181,6 +181,15 @@ class TestOperatorCoeffs:
         with pytest.raises(DomainError, match="not finite"):
             slice_membership_sampled(HarmonicMap(h, TruncatedSeries.zero(4)), p)
 
+    def test_overflowed_coefficient_with_both_parts_is_a_domain_error_in_the_slices(self):
+        # weight(1000)/2 overflows at delta = 1e300, so L s holds inf + inf j,
+        # and the fold's inf times a zero part of a power would be NaN
+        p = ClassParams(1, 1e300, 0)
+        c = np.zeros(1001, dtype=complex)
+        c[1], c[1000] = 1.0, 0.01 + 0.01j
+        with pytest.raises(DomainError, match="not finite"):
+            slice_membership_sampled(HarmonicMap(TruncatedSeries(c), TruncatedSeries.zero(1000)), p)
+
 
 class TestSufficientCondition:
     def test_identity_has_empty_sum(self):

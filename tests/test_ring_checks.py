@@ -437,12 +437,13 @@ class TestSharedFold:
         assert _bits(half_plane_check(F, grid)) == _bits(helpers.half_plane_per_series(F, grid))
 
 
-def test_power_tables_of_whole_blocks(monkeypatch):
-    """The radius powers come in tables of whole blocks of n, about 2**16 entries, once for all rows.
+def test_power_tables_of_the_shared_rule(monkeypatch):
+    """Every fold cuts its radius powers by the growth envelope's rule, once for all rows.
 
-    A fold of a few radii takes one table for every block; the 96-ring grid
-    of the benchmark takes one block of n = 384 per table, so a table never
-    holds more entries than one block of the grid.
+    A table has at least 4096 columns and about 2**16 entries, and the first
+    one also holds r^0 and r^1.  A fold of a few radii up to order 4096
+    takes one table; so does the 96-ring grid of the benchmark at order
+    4096, the 96x4096 table that the growth envelope builds on that grid.
     """
     calls = []
     powers = series_module._radius_powers
@@ -454,7 +455,6 @@ def test_power_tables_of_whole_blocks(monkeypatch):
     monkeypatch.setattr(series_module, "_radius_powers", counted)
     n = FOLD_N
     f = _sparse(3 * n + 5)
-    # s (order 3n + 5) spans blocks 0 to 3; t has order 2
     for call in (
         lambda: eval_rings(f.s, [0.5], n),
         lambda: f.rings([0.5, 0.9], n),
@@ -469,7 +469,6 @@ def test_power_tables_of_whole_blocks(monkeypatch):
     slice_membership_sampled(f, ClassParams(1, 1, 0), 4, PolarGrid(0.9, 3, n))
     sense_preserving_check(f, PolarGrid(0.9, 3, n))
     assert [k0 for _, k0, _ in calls] == [0, 0]
-    # one ring at order 4096 and n 384: one table, where one per block of n took 11
     g = _sparse(4096)
     grid = PolarGrid(0.95, 96, 384)
     for call in (
@@ -480,10 +479,28 @@ def test_power_tables_of_whole_blocks(monkeypatch):
         calls.clear()
         call()
         assert [(r, k0) for r, k0, _ in calls] == [(1, 0)]
-    # 96 rings of 384 angles: one block of n per table
+    # 96 rings of s' and t', 4096 coefficients: one table
     calls.clear()
     sense_preserving_check(g, grid)
-    assert calls == [(96, k0, min(384, 4096 - k0)) for k0 in range(0, 4096, 384)]
+    assert calls == [(96, 0, 4096)]
+    # past the first table the cuts fall every 4096 columns, 2 past a multiple
+    calls.clear()
+    eval_rings(_sparse(9000).s, grid.radii(), 384)
+    assert calls == [(96, 0, 4098), (96, 4098, 4096), (96, 8194, 807)]
+
+
+def test_index_two_is_never_alone_in_a_table():
+    """numpy's ``power`` squares a one-column table of index 2 as ``r*r``, not by ``pow``.
+
+    At n = 1 a fold of 30,000 radii once cut its tables at whole blocks of
+    n, 2 indices each, so index 2 stood alone and its bits were not the
+    one-radius fold's.  The first table now holds r^0 to r^2 at least.
+    """
+    s = TruncatedSeries([0, 0, 1.0])
+    radii = np.linspace(0.01, 0.99, 30000)
+    many = eval_rings(s, radii, 1)
+    one = np.concatenate([eval_rings(s, [r], 1) for r in radii[:3000]])
+    assert many[:3000].tobytes() == one.tobytes()
 
 
 # -- the witness of a circle test ---------------------------------------------------

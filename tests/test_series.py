@@ -1,7 +1,6 @@
 import re
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -252,10 +251,26 @@ class _CountingThread(threading.Thread):
 
 @pytest.fixture
 def counting_threads(monkeypatch):
-    """Threads the kernel starts, counted; the kernel's ``threading`` is replaced for the test."""
+    """Threads the kernel's pool starts, counted; ``threading.Thread`` is replaced for the test."""
     counter = type("Counter", (_CountingThread,), {"started": 0})
-    monkeypatch.setattr(series, "threading", types.SimpleNamespace(Thread=counter))
+    monkeypatch.setattr(threading, "Thread", counter)
     return counter
+
+
+def _parts_meet(monkeypatch, parts: int) -> None:
+    """Each part waits at a barrier for every other, so the parts run at once, each on its own thread.
+
+    Without it a pool thread that has finished a short part may take the
+    next one, and fewer threads start than there are parts.
+    """
+    barrier = threading.Barrier(parts, timeout=10)
+    steps = series._horner_steps
+
+    def meeting(*args):
+        barrier.wait()
+        return steps(*args)
+
+    monkeypatch.setattr(series, "_horner_steps", meeting)
 
 
 def _expected_parts(z: np.ndarray, cpus: int) -> int:
@@ -276,22 +291,35 @@ class TestSplitKernel:
         monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
         s = random_series(np.random.default_rng(40), 40) if kind == "dense" else _sparse_series(kind)
         z = _split_points(point_kind)
-        out = eval_many(s, z)
-        assert _same_bits(out, np.ascontiguousarray(npoly.polyval(z, s.coeffs)))
         # the all-zero series' plan has no step, so it runs in one part
         parts = 1 if kind == "all zero" else _expected_parts(z, cpus)
+        _parts_meet(monkeypatch, parts)
+        out = eval_many(s, z)
+        assert _same_bits(out, np.ascontiguousarray(npoly.polyval(z, s.coeffs)))
         assert counting_threads.started == parts - 1
         assert out.ctypes.data % 64 == 0 and out.flags.c_contiguous
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            # 1e308*z + 1e308 overflows only where z is near 1, which is the last part
+            ("last part", "add"),
+            # every part overflows: the first in its multiply, the others in their add
+            ("every part", "multiply"),
+        ],
+    )
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_overflow_in_a_worker_part_raises(self, monkeypatch, cpus):
-        # 1e308*z + 1e308 overflows only where z is near 1, which is the last part
+    def test_overflow_in_a_worker_part_raises(self, monkeypatch, cpus, where, message):
         monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
-        s = TruncatedSeries([1e308, 1e308])
         z = np.full(3 * _MIN_PART_POINTS, 0.1 + 0j)
         z[-_MIN_PART_POINTS:] = 1.0
+        s = TruncatedSeries([1e308, 1e308])
+        if where == "every part":
+            z[_MIN_PART_POINTS:] = 1.0
+            z[:_MIN_PART_POINTS] = np.exp(0.25j * np.pi)  # 1.5e308 * (1+1j) * z has an imaginary part past the range
+            s = TruncatedSeries([1e308, 1.5e308 * (1 + 1j)])
         before = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=message):
             eval_many(s, z)
         assert threading.active_count() == before
         with np.errstate(over="ignore"):
@@ -303,7 +331,7 @@ class TestSplitKernel:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was created")
 
-        monkeypatch.setattr(series, "threading", types.SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(threading, "Thread", no_thread)
         s = random_series(np.random.default_rng(42), 16)
         z = _split_points("grid")
         assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
@@ -331,13 +359,6 @@ class TestSplitKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(_same_bits(out, ref) for out in results)
-
-    def test_worker_cpus_come_from_the_affinity_mask(self):
-        if not hasattr(series.os, "sched_getaffinity") or series._sched_getcpu is None:
-            pytest.skip("no CPU affinity on this platform")
-        cpus = series._worker_cpus(64)
-        assert set(cpus) <= series.os.sched_getaffinity(0)
-        assert len(cpus) >= len(series.os.sched_getaffinity(0)) - 1
 
 
 class TestEvalRings:
