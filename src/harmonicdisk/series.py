@@ -24,12 +24,10 @@ the 96x384 grid has 36,864) is cut along axis 0 into one part per CPU of
 the process's affinity mask, at most one per ``_MIN_PART_POINTS`` points,
 unless the plan has no step (a series whose only nonzero coefficient is
 ``c[0]``, such as 0, adds it once and is done); the caller runs the first
-part and a ``concurrent.futures`` thread pool the others, every part
-through the same loop, so the bits do not change.  No thread is bound to a
-CPU; the operating system places them.  Under ``taskset`` to one CPU the
-kernel starts no thread.  The pool is imported only when an array is
-split, since ``concurrent.futures`` loads ``logging`` and the CLI's grids
-never split.  The threads are joined before the call returns, and share
+part and a thread each of the others, every part through the same loop,
+so the bits do not change.  No thread is bound to a CPU; the operating
+system places them.  Under ``taskset`` to one CPU the kernel starts no
+thread.  The threads are joined before the call returns, and share
 nothing but the call's own arrays, so instances can still be shared freely
 between threads.  On whole circles ``|z| = r``
 (:func:`eval_rings`), the samples at n equally spaced angles are a discrete
@@ -47,8 +45,9 @@ the stack
 (:func:`_eval_stack`).  Each row's values are bitwise those of the series
 folded and transformed alone; :func:`eval_rings` is the one-row case.
 Every fold, the growth envelope's included, cuts its powers into the
-tables of :func:`_tables`: at least 4096 columns and about 2**16 entries
-each, the first from index 0 up past index 2.  :func:`_fold_powers` adds a
+tables of :func:`_tables`: about 2**16 entries each but never fewer than
+4096 columns, so past 16 radii a table holds 4096 columns of every radius,
+the first from index 0 up past index 2.  :func:`_fold_powers` adds a
 table with one multiply and one add per run of columns that land on
 consecutive columns, in increasing index.
 A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`
@@ -74,6 +73,7 @@ import contextvars
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -345,7 +345,7 @@ def _horner(series: TruncatedSeries, z):
     a plan without one is a single add per point, which costs less than a
     thread (on a 2-CPU Xeon, 36,864 points took about 110 us in one part
     against 260 to 300 us in two).  The caller runs the first part and a
-    thread pool the others, over the same output and the same plan
+    thread each of the others, over the same output and the same plan
     (:func:`_horner_parts`).  numpy releases the GIL inside each step,
     so the parts run at once.  No thread is bound to a CPU: on a 2-CPU
     Xeon, binding each to a CPU other than the caller's did not make
@@ -385,23 +385,36 @@ def _horner_steps(out, z, first, terms):
 
 
 def _horner_parts(out: np.ndarray, z: np.ndarray, first, terms: list, n: int) -> None:
-    """:func:`_horner_steps` on *n* row blocks of *out* and *z*: the first here, each other on a pool thread.
+    """:func:`_horner_steps` on *n* row blocks of *out* and *z*: the first here, each other in a thread of its own.
 
-    A part runs in a copy of the caller's context, so the caller's
-    ``np.errstate``, a context variable since numpy 2, holds there too.
-    Leaving the pool joins every thread, whether the caller's part returned
-    or raised; then the first part's exception, in part order, is raised.
+    A thread runs its part in a copy of the caller's context, so the
+    caller's ``np.errstate``, a context variable since numpy 2, holds there
+    too.  Every thread is joined before this returns or raises, and the
+    first part's exception, in part order, is raised again here.
     """
-    # imported here: concurrent.futures loads logging, and the CLI never splits
-    from concurrent.futures import ThreadPoolExecutor
-
     bounds = [len(z) * i // n for i in range(n + 1)]
-    parts = [(out[a:b], z[a:b], first, terms) for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(n - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _horner_steps, *part) for part in parts[1:]]
-        _horner_steps(*parts[0])
-    for future in futures:
-        future.result()
+    errors = [None] * n
+
+    def run(i):
+        a, b = bounds[i], bounds[i + 1]
+        try:
+            _horner_steps(out[a:b], z[a:b], first, terms)
+        except BaseException as e:  # raised again in the caller
+            errors[i] = e
+
+    threads = []
+    try:
+        for i in range(1, n):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def _cpu_count() -> int:
@@ -428,8 +441,8 @@ def eval_many(series: TruncatedSeries, z: np.ndarray) -> np.ndarray:
 
     The values are bitwise ``polyval``'s.  From ``2 * _MIN_PART_POINTS``
     points on, a series with a nonzero coefficient above ``c[0]`` is split
-    across the CPUs of the process's affinity mask, one pool thread per
-    extra part, all joined before this returns (:func:`_horner`); run under
+    across the CPUs of the process's affinity mask, one thread per extra
+    part, all joined before this returns (:func:`_horner`); run under
     ``taskset -c 0`` for a single thread.
     """
     z = _as_numbers(z, "evaluation points").astype(np.complex128, copy=False)
@@ -453,9 +466,12 @@ def _ring_radii(radii) -> np.ndarray:
 
 
 def _tables(radii: np.ndarray, stop: int):
-    """The indices 0, 1, ..., stop - 1 of the power tables, one (radius, k) block of about 2**16 entries each.
+    """The indices 0, 1, ..., stop - 1 of the power tables, one (radius, k) block each.
 
-    A table has at least 4096 columns.  The first also holds r^0 and r^1, so
+    A table has about 2**16 entries but never fewer than 4096 columns, so
+    past 16 radii it holds ``len(radii) * 4096`` entries (393,216 on 96
+    rings), and :func:`_radius_powers` builds one more array of that size
+    while it makes the table.  The first also holds r^0 and r^1, so
     no table is the one column r^2, which numpy's ``power`` computes as
     ``r*r``, not by ``pow``.  There is always a first table, also for a
     series of order below 2 and for no radii.

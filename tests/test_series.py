@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -251,26 +252,10 @@ class _CountingThread(threading.Thread):
 
 @pytest.fixture
 def counting_threads(monkeypatch):
-    """Threads the kernel's pool starts, counted; ``threading.Thread`` is replaced for the test."""
+    """Threads the kernel starts, counted; the kernel's ``threading`` is replaced for the test."""
     counter = type("Counter", (_CountingThread,), {"started": 0})
-    monkeypatch.setattr(threading, "Thread", counter)
+    monkeypatch.setattr(series, "threading", types.SimpleNamespace(Thread=counter))
     return counter
-
-
-def _parts_meet(monkeypatch, parts: int) -> None:
-    """Each part waits at a barrier for every other, so the parts run at once, each on its own thread.
-
-    Without it a pool thread that has finished a short part may take the
-    next one, and fewer threads start than there are parts.
-    """
-    barrier = threading.Barrier(parts, timeout=10)
-    steps = series._horner_steps
-
-    def meeting(*args):
-        barrier.wait()
-        return steps(*args)
-
-    monkeypatch.setattr(series, "_horner_steps", meeting)
 
 
 def _expected_parts(z: np.ndarray, cpus: int) -> int:
@@ -291,11 +276,10 @@ class TestSplitKernel:
         monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
         s = random_series(np.random.default_rng(40), 40) if kind == "dense" else _sparse_series(kind)
         z = _split_points(point_kind)
-        # the all-zero series' plan has no step, so it runs in one part
-        parts = 1 if kind == "all zero" else _expected_parts(z, cpus)
-        _parts_meet(monkeypatch, parts)
         out = eval_many(s, z)
         assert _same_bits(out, np.ascontiguousarray(npoly.polyval(z, s.coeffs)))
+        # the all-zero series' plan has no step, so it runs in one part
+        parts = 1 if kind == "all zero" else _expected_parts(z, cpus)
         assert counting_threads.started == parts - 1
         assert out.ctypes.data % 64 == 0 and out.flags.c_contiguous
 
@@ -331,7 +315,7 @@ class TestSplitKernel:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was created")
 
-        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(series, "threading", types.SimpleNamespace(Thread=no_thread))
         s = random_series(np.random.default_rng(42), 16)
         z = _split_points("grid")
         assert _same_bits(eval_many(s, z), npoly.polyval(z, s.coeffs))
