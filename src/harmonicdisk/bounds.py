@@ -8,18 +8,18 @@ For a member of the inequality class the moduli satisfy, for every m >= 2,
 and |f(z)| is pinched between two explicit series in |z| that share one
 term sequence: the upper envelope sums it, the lower one alternates its
 signs.  ``_envelope`` sums those terms for an array of radii in blocks of
-m; a per-radius bound (``growth_upper``, ``growth_lower``) is its one-row
-case.  ``growth_envelope_check`` needs the same powers r^k for the envelope
-and for |f| on every ring, so it computes each block's table of powers once:
-it folds s and conj(t) from the table as ``HarmonicMap.rings`` does, then
-overwrites the table with the terms, with the blocks and operations of
-``_envelope``.  Its envelope rows are therefore bitwise the per-radius
-bounds, and its ring values bitwise those of ``rings``, which agree with a
-Horner evaluation to rounding.  ``coefficient_bound_check`` builds its
-rows from nine columns, one field of every row at a time, and reduces
-``all_within`` from the slack columns.  Bounds are necessary conditions, so
-a violation disproves membership; reports therefore record slacks instead
-of raising.
+m, one table of radius powers per block; a per-radius bound
+(``growth_upper``, ``growth_lower``) is its one-row case.
+``growth_envelope_check`` needs the same powers r^k for |f| on every ring,
+so it hands ``_envelope`` the coefficient rows of s and conj(t), and the
+one loop folds the rows from each table, as ``HarmonicMap.rings`` does,
+before it overwrites the table with the terms.  The check's envelope rows
+are therefore bitwise the per-radius bounds, and its ring values bitwise
+those of ``rings``, which agree with a Horner evaluation to rounding.
+``coefficient_bound_check`` builds its rows from nine columns, one field
+of every row at a time, and reduces ``all_within`` from the slack
+columns.  Bounds are necessary conditions, so a violation disproves
+membership; reports therefore record slacks instead of raising.
 """
 
 from __future__ import annotations
@@ -120,61 +120,61 @@ class GrowthEstimate:
     n_terms: int
 
 
-def _add_terms(p: ClassParams, powers: np.ndarray, m: np.ndarray, sums: np.ndarray) -> bool:
-    """Turn *powers*, the block r^m, into the terms 2*(gamma-lam)*r^m/weight(m) in place; add them up.
+def _envelope(
+    p: ClassParams, radii: np.ndarray, n_terms: int, rows: np.ndarray | None = None, n_angles: int = 1
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Upper value, upper tail, lower value and lower tail at each radius, and the fold of *rows*.
 
-    ``sums[0]`` takes the terms, ``sums[1]`` the terms with the signs of the
-    lower envelope, negative at even m; negating in place is exact, so that
-    sum is bitwise the sum of ``signs * terms``.  Returns False, adding
-    nothing, when every term is 0.
+    The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
+    (radius, m) blocks, one per power table of the folds
+    (:func:`~harmonicdisk.series._tables`), so memory stays bounded for
+    any N.  Each table is first folded from the coefficient *rows* onto
+    *n_angles* columns, bitwise as by :func:`~harmonicdisk.series._fold`,
+    and then overwritten with the terms of its block, negated in place
+    (exactly) at even m for the lower sum.  The terms decrease in m and r^m
+    underflows to 0, so once a whole block is 0 every later block is too:
+    the sums stop there, still bitwise the N-term sums, with the tails of
+    N, and only the fold goes on, up to the last coefficient.  The fold has
+    shape ``(len(rows), len(radii), n_angles)``, empty without rows.
     """
-    powers *= 2.0 * p.coefficient_budget()
-    powers /= p.coefficient_weight(m)
-    if not powers.any():
-        return False
-    sums[0] += np.sum(powers, axis=-1)
-    even = powers[:, int(m[0]) % 2 :: 2]
-    np.negative(even, out=even)
-    sums[1] += np.sum(powers, axis=-1)
-    return True
-
-
-def _with_tails(p: ClassParams, radii: np.ndarray, n_terms: int, sums: np.ndarray) -> tuple:
-    """Upper value, upper tail, lower value and lower tail from the sums of :func:`_add_terms`."""
+    n_terms = _as_count(n_terms, "n_terms", 2)
+    rows = np.zeros((0, 0)) if rows is None else rows
+    folded = np.zeros((len(rows), len(radii), n_angles), dtype=np.complex128)
     scale = 2.0 * p.coefficient_budget()
+    sums = np.zeros((2, len(radii)))
+    stop = n_terms + 1  # or the start of the first all-zero block of terms
+    for k in _tables(radii, max(stop, rows.shape[-1])):
+        k0 = int(k[0])
+        if k0 >= max(stop, rows.shape[-1]):
+            break
+        powers = _radius_powers(radii, k)
+        _fold_powers(folded, rows, powers, k0)
+        if k0 < stop:
+            cols = slice(max(2 - k0, 0), stop - k0)
+            terms, m = powers[:, cols], k[cols]
+            terms *= scale
+            terms /= p.coefficient_weight(m)
+            if not terms.any():
+                stop = k0
+                continue
+            sums[0] += np.sum(terms, axis=-1)
+            even = terms[:, int(m[0]) % 2 :: 2]
+            np.negative(even, out=even)
+            sums[1] += np.sum(terms, axis=-1)
     tail_power = radii ** (n_terms + 1)
-    return (
+    envelope = (
         radii + sums[0],
         scale / (n_terms * n_terms * 2.0 * p.gamma) * tail_power / (1.0 - radii),
         radii + sums[1],
         scale * tail_power / p.coefficient_weight(n_terms + 1),
     )
-
-
-def _envelope(p: ClassParams, radii: np.ndarray, n_terms: int) -> tuple[np.ndarray, ...]:
-    """Upper value, upper tail, lower value and lower tail at each radius.
-
-    The terms 2*(gamma-lam)*r^m/(m^2*[...]) for m = 2..N are summed in
-    (radius, m) blocks, one per power table of the folds
-    (:func:`~harmonicdisk.series._tables`), so memory stays bounded for
-    any N; a sum that fits one block is one array reduction.
-    The terms decrease in m and r^m underflows to 0, so once a whole block
-    is 0 every later block is too: the sums stop there, and they are still
-    bitwise the N-term sums, while the tails are those of N.
-    """
-    n_terms = _as_count(n_terms, "n_terms", 2)
-    sums = np.zeros((2, len(radii)))
-    for k in _tables(radii, n_terms + 1):
-        terms = slice(max(2 - int(k[0]), 0), None)
-        if not _add_terms(p, _radius_powers(radii, k)[:, terms], k[terms], sums):
-            break
-    return _with_tails(p, radii, n_terms, sums)
+    return envelope, folded
 
 
 def _at_radius(p: ClassParams, r: float, n_terms: int) -> list[float]:
     """The four envelope values at one radius *r*, once it is checked to lie in [0, 1)."""
     r = _as_real(r, "growth radius r", 0, 1, "[)")
-    return [float(x[0]) for x in _envelope(p, np.array([r]), n_terms)]
+    return [float(x[0]) for x in _envelope(p, np.array([r]), n_terms)[0]]
 
 
 def growth_upper(p: ClassParams, r: float, n_terms: int = DEFAULT_ORDER) -> GrowthEstimate:
@@ -215,28 +215,13 @@ def growth_envelope_check(
     responsible for only applying this to candidate members; a violation
     disproves membership.
 
-    Each table of radius powers is folded into the ring values first and
-    then overwritten with the envelope terms of its block, so one table is
-    alive at a time.  Past the first all-zero block of terms only the fold
-    goes on, up to the last coefficient.
+    The envelope and the fold of f come from one pass over the power
+    tables (:func:`_envelope`), so one table is alive at a time.
     """
     grid = grid or PolarGrid()
     radii = grid.radii()
-    n_terms = _as_count(n_terms, "n_terms", 2)
     rows = _ring_rows(f, (0,))
-    folded = np.zeros((len(rows), len(radii), grid.n_angles), dtype=np.complex128)
-    sums = np.zeros((2, len(radii)))
-    summing = True
-    for k in _tables(radii, max(n_terms + 1, rows.shape[-1])):
-        k0 = int(k[0])
-        if not summing and k0 >= rows.shape[-1]:
-            break
-        powers = _radius_powers(radii, k)
-        _fold_powers(folded, rows, powers, k0)
-        if summing and k0 <= n_terms:
-            terms = slice(max(2 - k0, 0), n_terms + 1 - k0)
-            summing = _add_terms(p, powers[:, terms], k[terms], sums)
-    upper, upper_tail, lower, lower_tail = _with_tails(p, radii, n_terms, sums)
+    (upper, upper_tail, lower, lower_tail), folded = _envelope(p, radii, n_terms, rows, grid.n_angles)
     absf = np.abs(_ring_values(folded)[0])
     margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])
     return verdict_from_margins(margins, (radii, grid.phases()), grid.describe())

@@ -37,10 +37,13 @@ def _as_count(value, name: str, minimum: int = 0) -> int:
     """*value* as an int of at least *minimum*, or a DomainError naming *name*.
 
     The conversion is ``operator.index``, so numpy integers pass and 96.0,
-    NaN or a string do not.  Every count in the package (grid sizes, sample
-    counts, orders, indices, term counts) goes through this one rule.
+    NaN or a string do not; nor does a bool, which ``operator.index`` would
+    take as 0 or 1.  Every count in the package (grid sizes, sample counts,
+    orders, indices, term counts) goes through this one rule.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -28,10 +28,10 @@ from F's own array, on the grid's outer radius, which the grid validated
 when it was built, so no derived series is built and no radius is checked
 again.  :func:`membership_sampled` still samples every ring of its grid
 and, like :func:`apply_operator`, evaluates L through the three formal
-derivatives with the Horner kernel of :mod:`~harmonicdisk.series` (its
-bits do not depend on the CPUs it splits a grid across): the benchmark's
-smoke test pins the former's calls, and a test pins the latter bit for bit
-to ``polyval``.
+derivatives, each by :func:`~harmonicdisk.series.eval_many`, which checks
+the disk and whose bits do not depend on the CPUs it splits a grid
+across: the benchmark's smoke test pins the former's calls, and a test
+pins the latter bit for bit to ``polyval``.
 
 Slices in closed form: ``Re(eps * L t) = |L t| cos(arg eps + arg L t)`` is
 least at the root of unity nearest to ``pi - arg L t``, so the minimum over
@@ -54,14 +54,14 @@ import numpy as np
 from .errors import DomainError, _as_complex, _as_count
 from .maps import ClassParams, HarmonicMap, _check_normalized
 from .sampling import MembershipVerdict, PolarGrid, verdict_from_margins
-from .series import TruncatedSeries, _check_disk, _eval_stack, _horner, _stack, eval_many
+from .series import TruncatedSeries, _eval_stack, _stack, eval_many
 
 
-def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray, evaluate) -> np.ndarray:
-    """L h on an array of disk points, via the three formal derivatives, each valued by ``evaluate(series, z)``."""
-    d1 = evaluate(h.derivative(1), z)
-    d2 = evaluate(h.derivative(2), z)
-    d3 = evaluate(h.derivative(3), z)
+def _operator_values(h: TruncatedSeries, p: ClassParams, z: np.ndarray) -> np.ndarray:
+    """L h on an array of disk points, via the three formal derivatives, each valued by :func:`eval_many`."""
+    d1 = eval_many(h.derivative(1), z)
+    d2 = eval_many(h.derivative(2), z)
+    d3 = eval_many(h.derivative(3), z)
     return p.gamma * d1 + p.delta * z * d2 + 0.5 * (p.delta - p.gamma) * z * z * d3
 
 
@@ -88,8 +88,7 @@ def operator_coeffs(h: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
 def apply_operator(h: TruncatedSeries, p: ClassParams, z: complex) -> complex:
     """Value of gamma*h'(z) + delta*z*h''(z) + ((delta-gamma)/2)*z^2*h'''(z) for |z| <= 1."""
     z = _as_complex(z, "evaluation point z")
-    _check_disk(z)
-    return complex(_operator_values(h, p, np.asarray(z), _horner))
+    return complex(_operator_values(h, p, np.asarray(z)))
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,8 @@ def membership_sampled(
     """Sampled defining inequality: margin = min Re[L s] - lam - |L t|."""
     grid = grid or PolarGrid()
     pts = grid.points()
-    ls = _operator_values(f.s, p, pts, eval_many)
-    lt = _operator_values(f.t, p, pts, eval_many)
+    ls = _operator_values(f.s, p, pts)
+    lt = _operator_values(f.t, p, pts)
     margins = np.real(ls) - p.lam - np.abs(lt)
     return verdict_from_margins(margins, (grid.radii(), grid.phases()), grid.describe())
 

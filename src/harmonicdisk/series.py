@@ -44,10 +44,11 @@ powers is computed once for all rows, and then runs one inverse FFT over
 the stack
 (:func:`_eval_stack`).  Each row's values are bitwise those of the series
 folded and transformed alone; :func:`eval_rings` is the one-row case.
-Every fold, the growth envelope's included, cuts its powers into the
-tables of :func:`_tables`: about 2**16 entries each but never fewer than
-4096 columns, so past 16 radii a table holds 4096 columns of every radius,
-the first from index 0 up past index 2.  :func:`_fold_powers` adds a
+Every fold, the growth envelope check's included (it folds in the loop
+that sums the envelope, :func:`~harmonicdisk.bounds._envelope`), cuts its
+powers into the tables of :func:`_tables`: about 2**16 entries each but
+never fewer than 4096 columns, so past 16 radii a table holds 4096
+columns of every radius, the first from index 0 up past index 2.  :func:`_fold_powers` adds a
 table with one multiply and one add per run of columns that land on
 consecutive columns, in increasing index.
 A table of radius powers is not one ``pow`` per entry: :func:`_radius_powers`

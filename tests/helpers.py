@@ -154,7 +154,7 @@ def slice_membership_horner(f: HarmonicMap, p: ClassParams, n_eps: int, grid: Po
 
 
 def growth_envelope_horner(f: HarmonicMap, p: ClassParams, grid: PolarGrid, n_terms: int) -> MembershipVerdict:
-    upper, upper_tail, lower, lower_tail = _envelope(p, grid.radii(), n_terms)
+    upper, upper_tail, lower, lower_tail = _envelope(p, grid.radii(), n_terms)[0]
     pts = grid.points()
     absf = np.abs(evaluate_map_many(f, pts))
     margins = np.minimum((upper + upper_tail)[:, None] - absf, absf - (lower - lower_tail)[:, None])

@@ -25,7 +25,8 @@ from harmonicdisk import (
 )
 from harmonicdisk.bounds import _envelope
 from harmonicdisk.closure import random_member
-from harmonicdisk.series import _radius_powers
+from harmonicdisk.maps import _ring_rows
+from harmonicdisk.series import _fold, _radius_powers
 
 from helpers import (
     all_within_per_row,
@@ -174,7 +175,7 @@ class TestEnvelopeRows:
         for _ in range(10):
             p = random_params(rng)
             radii = PolarGrid(max_radius=float(rng.uniform(0.05, 0.99)), n_radii=17).radii()
-            upper, upper_tail, lower, lower_tail = _envelope(p, radii, n_terms)
+            upper, upper_tail, lower, lower_tail = _envelope(p, radii, n_terms)[0]
             upper, lower = upper + upper_tail, lower - lower_tail
             for r, u, lo in zip(radii.tolist(), upper.tolist(), lower.tolist()):
                 up, low = growth_upper(p, r, n_terms), growth_lower(p, r, n_terms)
@@ -233,7 +234,7 @@ class TestEnvelopeBlocks:
         for _ in range(3):
             p = random_params(rng)
             radii = PolarGrid(max_radius=float(rng.uniform(0.5, 0.999)), n_radii=n_radii).radii()
-            upper, _, lower, _ = _envelope(p, radii, n_terms)
+            upper, _, lower, _ = _envelope(p, radii, n_terms)[0]
             ref_upper, ref_lower = self.one_array(p, radii, n_terms)
             np.testing.assert_allclose(upper, ref_upper, rtol=1e-15, atol=0)
             # the alternating sum can cancel, so its error is relative to the sum of moduli
@@ -244,7 +245,7 @@ class TestEnvelopeBlocks:
         rng = np.random.default_rng(3 + n_terms)
         p = random_params(rng)
         radii = PolarGrid(max_radius=0.95, n_radii=96).radii()
-        upper, _, lower, _ = _envelope(p, radii, n_terms)
+        upper, _, lower, _ = _envelope(p, radii, n_terms)[0]
         ref_upper, ref_lower = self.one_array(p, radii, n_terms)
         assert upper.tobytes() == ref_upper.tobytes() and lower.tobytes() == ref_lower.tobytes()
 
@@ -266,7 +267,7 @@ class TestEnvelopeTables:
         for _ in range(300):
             p = random_params(rng)
             terms = powers * (2.0 * p.coefficient_budget()) / p.coefficient_weight(m)
-            upper, _, lower, _ = _envelope(p, radii, n_terms)
+            upper, _, lower, _ = _envelope(p, radii, n_terms)[0]
             assert upper.tobytes() == (radii + np.sum(terms, axis=-1)).tobytes()
             terms[:, 0::2] *= -1.0
             assert lower.tobytes() == (radii + np.sum(terms, axis=-1)).tobytes()
@@ -326,7 +327,7 @@ class TestEnvelopeStop:
         radii = np.array(radii)
         for _ in range(3):
             p = random_params(rng)
-            upper, _, lower, _ = _envelope(p, radii, n_terms)
+            upper, _, lower, _ = _envelope(p, radii, n_terms)[0]
             ref_upper, ref_lower = self.every_block(p, radii, n_terms)
             assert upper.tobytes() == ref_upper.tobytes() and lower.tobytes() == ref_lower.tobytes()
 
@@ -372,31 +373,32 @@ def full_extremal(order):
     return lambda p, rng: make_extremal_full(p, order)
 
 
+#: (make, n_terms, grid) for the envelope check's pass over the power tables
+CHECK_CASES = [
+    # n_terms below, at and above the order; t = 0 for the full extremal
+    (random_map(64), 16, PolarGrid(0.97, 9, 24)),
+    (full_extremal(64), 64, PolarGrid(0.97, 9, 24)),
+    (random_map(64), 600, PolarGrid(0.97, 9, 24)),
+    # odd angle counts, one radius
+    (random_map(40), 64, PolarGrid(0.9, 5, 25)),
+    (full_extremal(200), 300, PolarGrid(0.99, 1, 33)),
+    # more than 4096 terms: several blocks of m, the fold stops inside the first
+    (full_extremal(600), 4096 * 2 + 5, PolarGrid(0.999, 17, 32)),
+    # an order past the first table: the fold goes on after the sums end
+    (lambda p, rng: mixed_order_map(rng, 5000, 300), 64, PolarGrid(0.95, 17, 48)),
+    (lambda p, rng: mixed_order_map(rng, 300, 9000), 4200, PolarGrid(0.95, 20, 64)),
+    # the sums stop at the first all-zero block, long before n_terms
+    (full_extremal(64), 10**6, PolarGrid(0.9, 9, 24)),
+    (lambda p, rng: mixed_order_map(rng, 9000, 64), 10**6, PolarGrid(0.001, 17, 16)),
+    # the benchmark's grid shape at order 4096
+    (full_extremal(4096), 4096, PolarGrid(0.95, 96, 64)),
+]
+
+
 class TestOneTablePerCheck:
     """The check folds f from each table of radius powers and then sums the same table as envelope terms."""
 
-    @pytest.mark.parametrize(
-        ("make", "n_terms", "grid"),
-        [
-            # n_terms below, at and above the order; t = 0 for the full extremal
-            (random_map(64), 16, PolarGrid(0.97, 9, 24)),
-            (full_extremal(64), 64, PolarGrid(0.97, 9, 24)),
-            (random_map(64), 600, PolarGrid(0.97, 9, 24)),
-            # odd angle counts, one radius
-            (random_map(40), 64, PolarGrid(0.9, 5, 25)),
-            (full_extremal(200), 300, PolarGrid(0.99, 1, 33)),
-            # more than 4096 terms: several blocks of m, the fold stops inside the first
-            (full_extremal(600), 4096 * 2 + 5, PolarGrid(0.999, 17, 32)),
-            # an order past the first table: the fold goes on after the sums end
-            (lambda p, rng: mixed_order_map(rng, 5000, 300), 64, PolarGrid(0.95, 17, 48)),
-            (lambda p, rng: mixed_order_map(rng, 300, 9000), 4200, PolarGrid(0.95, 20, 64)),
-            # the sums stop at the first all-zero block, long before n_terms
-            (full_extremal(64), 10**6, PolarGrid(0.9, 9, 24)),
-            (lambda p, rng: mixed_order_map(rng, 9000, 64), 10**6, PolarGrid(0.001, 17, 16)),
-            # the benchmark's grid shape at order 4096
-            (full_extremal(4096), 4096, PolarGrid(0.95, 96, 64)),
-        ],
-    )
+    @pytest.mark.parametrize(("make", "n_terms", "grid"), CHECK_CASES)
     def test_verdict_is_bitwise_the_two_pass_check(self, make, n_terms, grid):
         rng = np.random.default_rng(n_terms + grid.n_radii)
         for _ in range(2):
@@ -404,6 +406,20 @@ class TestOneTablePerCheck:
             f = make(p, rng)
             v = growth_envelope_check(f, p, grid, n_terms)
             assert bits(v) == bits(growth_envelope_two_pass(f, p, grid, n_terms))
+
+    @pytest.mark.parametrize(("make", "n_terms", "grid"), CHECK_CASES)
+    def test_fold_and_envelope_are_bitwise_their_own_passes(self, make, n_terms, grid):
+        rng = np.random.default_rng(n_terms + grid.n_radii)
+        radii = grid.radii()
+        for _ in range(2):
+            p = random_params(rng)
+            rows = _ring_rows(make(p, rng), (0,))
+            envelope, folded = _envelope(p, radii, n_terms, rows, grid.n_angles)
+            ref = _fold(rows, radii, grid.n_angles)
+            assert folded.shape == ref.shape and folded.tobytes() == ref.tobytes()
+            alone, no_fold = _envelope(p, radii, n_terms)
+            assert [x.tobytes() for x in envelope] == [x.tobytes() for x in alone]
+            assert no_fold.size == 0
 
     def test_overflowing_weights_are_bitwise_the_two_pass_check(self):
         p = ClassParams(1, 1e307, 0)

@@ -95,6 +95,12 @@ REJECTED = {
     "pad_to order 5.5": lambda: TruncatedSeries.identity(1).pad_to(5.5),
     "pad_to order 0.5": lambda: TruncatedSeries.identity(1).pad_to(0.5),
     "pad_to order -1": lambda: TruncatedSeries.identity(1).pad_to(-1),
+    # operator.index takes a bool as 0 or 1
+    "grid n_radii True": lambda: PolarGrid(0.95, True, 96),
+    "monomial m True": lambda: TruncatedSeries.monomial(True),
+    "random_member max_terms True": lambda: random_member(P, rng(), max_terms=True),
+    "eval_rings n True": lambda: eval_rings(F.s, [0.5], True),
+    "growth_upper n_terms np.True_": lambda: growth_upper(P, 0.5, np.True_),
 }
 
 
